@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci fmt vet lint build test race bench bench-smoke demo-persist test-wire smoke-multiproc fuzz-smoke
+.PHONY: ci fmt vet lint build test race bench bench-smoke demo-persist test-wire smoke-multiproc fuzz-smoke e2ebench-check
 
 ci: fmt vet lint build race
 
@@ -49,28 +49,35 @@ test-wire: vet
 smoke-multiproc:
 	$(GO) test -run TestMultiProcessSmoke -v ./cmd/fabricnet
 
-BENCHES = 'BenchmarkCommitPipeline|BenchmarkCommitBackends|BenchmarkCommitChannels|BenchmarkCommitAsync|BenchmarkCommitFinalize|BenchmarkCommitLSMCache'
+BENCHES = 'BenchmarkCommitPipeline|BenchmarkCommitBackends|BenchmarkCommitChannels|BenchmarkCommitAsync|BenchmarkCommitLSMCache'
 
 # Commit-pipeline benchmark; refreshes BENCH_commit.json.
 bench:
 	$(GO) test -run xxx -bench $(BENCHES) -benchtime=20x .
 
-# One quick pass of the commit benchmark per state backend (memory,
-# sharded, disk with and without the block store, lsm), the worker sweep,
-# the channel-scaling sweep (1/2/4/8 channels), the async-pipeline depth
-# sweep (0/1/2/4), the finalize-scheduler sweep (conflict rate 0/25/100%
-# at 1/2/4/8 finalize workers) and the LSM block-cache pair (dataset
-# larger than the cache vs inside it) — enough for CI to refresh and
-# archive BENCH_commit.json without a long benchmark run.
+# One quick pass of the commit benchmark per state backend (memory, disk
+# with and without the block store, lsm), the worker sweep, the
+# channel-scaling sweep (1/2/4/8 channels), the async-pipeline depth sweep
+# (0/1/2/4) and the LSM block-cache pair (dataset larger than the cache vs
+# inside it) — enough for CI to refresh and archive BENCH_commit.json
+# without a long benchmark run.
 bench-smoke:
 	$(GO) test -run xxx -bench $(BENCHES) -benchtime=3x .
 
-# Short-budget coverage-guided fuzzing of the binary decoders — the
-# wire-frame decoder and the LSM sorted-run block decoder — enough for CI
-# to catch a decoder regression without a long fuzz run.
+# Short-budget coverage-guided fuzzing of the decoders of untrusted bytes —
+# the wire-frame decoder, the LSM sorted-run block decoder and the
+# persisted JSON CRDT document state — enough for CI to catch a decoder
+# regression without a long fuzz run.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzReadFrame -fuzztime 10s ./internal/wire
 	$(GO) test -run xxx -fuzz FuzzRunDecode -fuzztime 10s ./internal/statedb
+	$(GO) test -run xxx -fuzz FuzzDocState -fuzztime 10s ./internal/jsoncrdt
+
+# The end-to-end benchmark (e2ebench/) is its own Go module, so the root
+# build, vet, lint and tests never compile it: vet and test it on its own,
+# against this checkout's packages.
+e2ebench-check:
+	cd e2ebench && $(GO) vet . && $(GO) test .
 
 # One short live-network run with durable peers and the block store on,
 # against a throwaway datadir — proves the -backend disk -persist-blocks

@@ -59,10 +59,8 @@ func main() {
 		channelList = flag.String("channels", "channel1,channel2", "comma-separated channel list; each channel gets its own orderer and per-peer commit pipeline")
 		conflict    = flag.Int("conflict", 100, "percentage of transactions targeting each channel's shared hot key (paper Table 5)")
 		workers     = flag.Int("workers", 0, "commit-pipeline workers per peer per channel (0 = adaptive: NumCPU spread across channels)")
-		finalizeW   = flag.Int("finalize-workers", 0, "intra-block finalize workers per peer per channel: >1 validates non-conflicting transactions of a block concurrently along a dependency-graph schedule, 1 = serial finalize, 0 = inherit -workers (outcomes are identical at every setting)")
 		pipeline    = flag.Int("pipeline", 1, "async commit pipeline depth per (peer, channel): how many delivered blocks are decoded and endorsement-validated ahead of the serialized commit stage (0 = synchronous; outcomes are identical at every depth)")
-		shards      = flag.Int("shards", 1, "state database shards per peer (1 = single-lock map)")
-		backend     = flag.String("backend", "", "state backend per peer: memory|sharded|disk|lsm (default: memory, or sharded when -shards > 1)")
+		backend     = flag.String("backend", "", "state backend per peer: memory|disk|lsm (default: memory)")
 		datadir     = flag.String("datadir", "", "data directory for -backend disk/lsm (one subdirectory per peer, then per channel)")
 		fsync       = flag.Bool("fsync", false, "fsync each peer's state log (and block log) after every committed block (-backend disk/lsm only): closes the power-loss window; the async pipeline hides the added latency")
 		persist     = flag.Bool("persist-blocks", true, "persist committed block bodies in each peer's durable block store (-backend disk/lsm only): restarted peers then serve their full history to lagging peers and can rebuild their world state from block 0")
@@ -100,7 +98,7 @@ func main() {
 
 	persistBlocks := fabriccrdt.PersistBlocksAuto
 	switch *backend {
-	case "", fabriccrdt.BackendMemory, fabriccrdt.BackendSharded:
+	case "", fabriccrdt.BackendMemory:
 		if *datadir != "" {
 			fatal(fmt.Errorf("-datadir is only used with -backend disk or lsm; nothing would be persisted"))
 		}
@@ -126,7 +124,7 @@ func main() {
 			persistBlocks = fabriccrdt.PersistBlocksOff
 		}
 	default:
-		fatal(fmt.Errorf("unknown -backend %q (want memory, sharded, disk or lsm)", *backend))
+		fatal(fmt.Errorf("unknown -backend %q (want memory, disk or lsm)", *backend))
 	}
 	if *stateCache < 0 {
 		fatal(fmt.Errorf("-state-cache must be >= 0 MiB (got %d)", *stateCache))
@@ -168,9 +166,7 @@ func main() {
 			queueWarn:    *queueWarn,
 			committer: fabriccrdt.CommitterConfig{
 				Workers:         *workers,
-				FinalizeWorkers: *finalizeW,
 				Pipeline:        *pipeline,
-				StateShards:     *shards,
 				Backend:         *backend,
 				DataDir:         *datadir,
 				PersistBlocks:   persistBlocks,
@@ -189,9 +185,7 @@ func main() {
 	cfg.Orderer.BatchTimeout = *batchTimeout
 	cfg.Committer = fabriccrdt.CommitterConfig{
 		Workers:         *workers,
-		FinalizeWorkers: *finalizeW,
 		Pipeline:        *pipeline,
-		StateShards:     *shards,
 		Backend:         *backend,
 		DataDir:         *datadir,
 		PersistBlocks:   persistBlocks,
@@ -349,21 +343,13 @@ func main() {
 			}
 			fmt.Println()
 		}
-		// Wall-clock vs CPU-time rollup: stages overlap (async pipeline,
-		// merge beside MVCC), so CPU above Wall measures the concurrency won.
+		// Wall-clock vs CPU-time rollup: stages overlap (async pipeline), so
+		// CPU above Wall measures the concurrency won.
 		fmt.Println("commit totals (wall = elapsed pipeline time, cpu = summed stage work):")
 		for _, p := range net.Peers() {
 			agg := p.CommitAggregate()
 			fmt.Printf("  %-12s wall=%v cpu=%v\n", p.Name(),
 				agg.Wall.Round(time.Microsecond), agg.CPU.Round(time.Microsecond))
-		}
-		fmt.Println("finalize scheduler (dependency-graph stats over scheduled blocks):")
-		for _, p := range net.Peers() {
-			fmt.Printf("  %-12s", p.Name())
-			for _, c := range p.SchedulerCounters() {
-				fmt.Printf(" %s=%d", c.Name, c.Value)
-			}
-			fmt.Println()
 		}
 	}
 }

@@ -147,8 +147,6 @@ func (f *commitFixture) endorsedBlockOn(b *testing.B, channelID string, n int) *
 type commitBenchEntry struct {
 	CRDT    bool   `json:"crdt"`
 	Backend string `json:"backend"`
-	// Shards is the sharded backend's shard count (0 for other backends).
-	Shards int `json:"shards,omitempty"`
 	// PersistBlocks marks disk-backend runs with the durable block store
 	// on (one block-body append per commit beside the state log).
 	PersistBlocks bool `json:"persist_blocks,omitempty"`
@@ -166,28 +164,18 @@ type commitBenchEntry struct {
 	// per-block benchmarks). With Pipeline > 0, BlockTxs counts one block
 	// and NsPerBlock is wall time per block of the whole pipelined
 	// multi-block stream.
-	Pipeline int `json:"pipeline,omitempty"`
-	BlockTxs int `json:"block_txs"`
-	Workers  int `json:"workers"`
-	// FinalizeWorkers is the intra-block dependency scheduler's worker
-	// count (BenchmarkCommitFinalize; 0 marks entries from before the
-	// scheduler existed — the legacy serial finalize).
-	FinalizeWorkers int `json:"finalize_workers,omitempty"`
-	// ConflictRate is the benchmark block's conflicting-transaction share
-	// in percent (BenchmarkCommitFinalize; omitted when zero — the
-	// all-independent block).
-	ConflictRate int     `json:"conflict_rate,omitempty"`
-	NsPerBlock   int64   `json:"ns_per_block"`
-	TxPerSec     float64 `json:"tx_per_s"`
+	Pipeline   int     `json:"pipeline,omitempty"`
+	BlockTxs   int     `json:"block_txs"`
+	Workers    int     `json:"workers"`
+	NsPerBlock int64   `json:"ns_per_block"`
+	TxPerSec   float64 `json:"tx_per_s"`
 	// Registry snapshots: the last measured peer's obs counters at the end
 	// of the run — blocks committed, transactions finalized (committed +
-	// rejected), the finalize scheduler's observed conflicted-transaction
-	// share, and the process-global healed deliver-retry count. Omitted on
-	// entries predating the metrics registry.
-	ObsBlocks       int64   `json:"obs_blocks,omitempty"`
-	ObsTxs          int64   `json:"obs_txs,omitempty"`
-	ObsConflictRate float64 `json:"obs_conflict_rate,omitempty"`
-	ObsRetries      int64   `json:"obs_retries,omitempty"`
+	// rejected) and the process-global healed deliver-retry count. Omitted
+	// on entries predating the metrics registry.
+	ObsBlocks  int64 `json:"obs_blocks,omitempty"`
+	ObsTxs     int64 `json:"obs_txs,omitempty"`
+	ObsRetries int64 `json:"obs_retries,omitempty"`
 }
 
 // obsSnapshot copies the peer's registry counters into the entry. The
@@ -202,11 +190,6 @@ func (e commitBenchEntry) obsSnapshot(p *peer.Peer) commitBenchEntry {
 	if v, ok := reg.Total(obs.MetricPeerTxsCommitted); ok {
 		e.ObsTxs = int64(v)
 	}
-	if conflicted, ok := reg.Total(obs.MetricSchedConflicted); ok {
-		if txs, ok := reg.Total(obs.MetricSchedTxs); ok && txs > 0 {
-			e.ObsConflictRate = conflicted / txs
-		}
-	}
 	if v, ok := obs.Default().Total(obs.MetricDeliverRetries); ok {
 		e.ObsRetries = int64(v)
 	}
@@ -220,7 +203,7 @@ var (
 
 // benchKey is one configuration's identity in BENCH_commit.json.
 func benchKey(e commitBenchEntry) string {
-	return fmt.Sprintf("%v/%s/%d/%v/%d/%d/%d/%d/%d/%d/%d", e.CRDT, e.Backend, e.Shards, e.PersistBlocks, e.CacheBytes, e.Channels, e.Pipeline, e.BlockTxs, e.Workers, e.FinalizeWorkers, e.ConflictRate)
+	return fmt.Sprintf("%v/%s/%v/%d/%d/%d/%d/%d", e.CRDT, e.Backend, e.PersistBlocks, e.CacheBytes, e.Channels, e.Pipeline, e.BlockTxs, e.Workers)
 }
 
 // loadCommitBench seeds the in-memory result map from the committed
@@ -271,9 +254,6 @@ func recordCommitBench(b *testing.B, e commitBenchEntry) {
 		if a.Backend != c.Backend {
 			return a.Backend < c.Backend
 		}
-		if a.Shards != c.Shards {
-			return a.Shards < c.Shards
-		}
 		if a.PersistBlocks != c.PersistBlocks {
 			return !a.PersistBlocks
 		}
@@ -289,13 +269,7 @@ func recordCommitBench(b *testing.B, e commitBenchEntry) {
 		if a.BlockTxs != c.BlockTxs {
 			return a.BlockTxs < c.BlockTxs
 		}
-		if a.Workers != c.Workers {
-			return a.Workers < c.Workers
-		}
-		if a.ConflictRate != c.ConflictRate {
-			return a.ConflictRate < c.ConflictRate
-		}
-		return a.FinalizeWorkers < c.FinalizeWorkers
+		return a.Workers < c.Workers
 	})
 	data, err := json.MarshalIndent(entries, "", "  ")
 	if err != nil {
@@ -321,7 +295,7 @@ func BenchmarkCommitPipeline(b *testing.B) {
 			for _, workers := range []int{1, 4, 8} {
 				name := fmt.Sprintf("%s/txs=%d/workers=%d", mode, blockTxs, workers)
 				b.Run(name, func(b *testing.B) {
-					cfg := peer.CommitterConfig{Workers: workers, StateShards: workers}
+					cfg := peer.CommitterConfig{Workers: workers}
 					var total time.Duration
 					var lastPeer *peer.Peer
 					b.ResetTimer()
@@ -346,12 +320,8 @@ func BenchmarkCommitPipeline(b *testing.B) {
 					for _, s := range lastPeer.CommitTimings() {
 						b.ReportMetric(float64(s.Avg.Nanoseconds()), s.Stage+"_ns")
 					}
-					backendName, shards := peer.BackendMemory, 0
-					if workers > 1 {
-						backendName, shards = peer.BackendSharded, workers // legacy auto-selection
-					}
 					recordCommitBench(b, commitBenchEntry{
-						CRDT: enableCRDT, Backend: backendName, Shards: shards, BlockTxs: blockTxs, Workers: workers,
+						CRDT: enableCRDT, Backend: peer.BackendMemory, BlockTxs: blockTxs, Workers: workers,
 						NsPerBlock: nsPerBlock, TxPerSec: txPerSec,
 					}.obsSnapshot(lastPeer))
 				})
@@ -361,9 +331,8 @@ func BenchmarkCommitPipeline(b *testing.B) {
 }
 
 // BenchmarkCommitBackends measures the same staged pipeline with each
-// state backend behind it — the cost of durability (disk, lsm), the
-// payoff of shard-level locking vs the single-lock map, and the block
-// store's append overhead (persistblocks: disk with block-body
+// state backend behind it — the cost of durability (disk, lsm) and the
+// block store's append overhead (persistblocks: disk with block-body
 // persistence, the durable backends' default configuration). CRDT on,
 // 100-transaction blocks, 4 workers; one fresh peer (and, for the durable
 // backends, a fresh data directory) per iteration so the logs start empty
@@ -377,25 +346,21 @@ func BenchmarkCommitBackends(b *testing.B) {
 	backends := []struct {
 		label         string
 		backend       string
-		shards        int
 		persistBlocks bool
 		cfg           func(b *testing.B) peer.CommitterConfig
 	}{
-		{peer.BackendMemory, peer.BackendMemory, 0, false, func(b *testing.B) peer.CommitterConfig {
+		{peer.BackendMemory, peer.BackendMemory, false, func(b *testing.B) peer.CommitterConfig {
 			return peer.CommitterConfig{Workers: workers, Backend: peer.BackendMemory}
 		}},
-		{peer.BackendSharded, peer.BackendSharded, 8, false, func(b *testing.B) peer.CommitterConfig {
-			return peer.CommitterConfig{Workers: workers, Backend: peer.BackendSharded, StateShards: 8}
-		}},
-		{peer.BackendDisk, peer.BackendDisk, 0, false, func(b *testing.B) peer.CommitterConfig {
+		{peer.BackendDisk, peer.BackendDisk, false, func(b *testing.B) peer.CommitterConfig {
 			return peer.CommitterConfig{Workers: workers, Backend: peer.BackendDisk, DataDir: b.TempDir(),
 				PersistBlocks: peer.PersistBlocksOff}
 		}},
-		{"persistblocks", peer.BackendDisk, 0, true, func(b *testing.B) peer.CommitterConfig {
+		{"persistblocks", peer.BackendDisk, true, func(b *testing.B) peer.CommitterConfig {
 			return peer.CommitterConfig{Workers: workers, Backend: peer.BackendDisk, DataDir: b.TempDir(),
 				PersistBlocks: peer.PersistBlocksOn}
 		}},
-		{peer.BackendLSM, peer.BackendLSM, 0, false, func(b *testing.B) peer.CommitterConfig {
+		{peer.BackendLSM, peer.BackendLSM, false, func(b *testing.B) peer.CommitterConfig {
 			return peer.CommitterConfig{Workers: workers, Backend: peer.BackendLSM, DataDir: b.TempDir(),
 				PersistBlocks: peer.PersistBlocksOff}
 		}},
@@ -429,7 +394,7 @@ func BenchmarkCommitBackends(b *testing.B) {
 			txPerSec := float64(blockTxs) / (float64(nsPerBlock) / 1e9)
 			b.ReportMetric(txPerSec, "tx/s")
 			recordCommitBench(b, commitBenchEntry{
-				CRDT: true, Backend: backend.backend, Shards: backend.shards,
+				CRDT: true, Backend: backend.backend,
 				PersistBlocks: backend.persistBlocks, BlockTxs: blockTxs, Workers: workers,
 				NsPerBlock: nsPerBlock, TxPerSec: txPerSec,
 			}.obsSnapshot(lastPeer))
@@ -553,123 +518,6 @@ func BenchmarkCommitAsync(b *testing.B) {
 			BlockTxs: blockTxs, Workers: 1,
 			NsPerBlock: nsPerBlock, TxPerSec: txPerSec,
 		}.obsSnapshot(lastPeers[depth]))
-	}
-}
-
-// plainBenchChaincode reads and rewrites an ordinary key — the MVCC-
-// validated transaction shape the finalize scheduler's wavefronts apply to
-// (CRDT-flagged writes leave the schedule for the merge path).
-func plainBenchChaincode() chaincode.Chaincode {
-	return chaincode.Func(func(stub chaincode.Stub) error {
-		_, params := stub.Function()
-		if _, err := stub.GetState(params[0]); err != nil {
-			return err
-		}
-		return stub.PutState(params[0], []byte(params[1]))
-	})
-}
-
-// endorsedPlainBlock assembles a block of n plain (MVCC-validated)
-// transactions in which conflictPct percent read-and-write one shared hot
-// key (a dependency chain the scheduler must serialize) and the rest touch
-// unique keys (a single wavefront). The endorser must have "plainbench"
-// installed.
-func (f *commitFixture) endorsedPlainBlock(b *testing.B, n, conflictPct int) *ledger.Block {
-	b.Helper()
-	creator, err := f.client.Identity.Marshal()
-	if err != nil {
-		b.Fatal(err)
-	}
-	channelID := f.channels[0]
-	txs := make([]*ledger.Transaction, n)
-	for i := range txs {
-		key := fmt.Sprintf("u-%d-%d", conflictPct, i)
-		if i*100 < n*conflictPct {
-			key = "hot"
-		}
-		txID := fmt.Sprintf("fin-%d-%d", conflictPct, i)
-		args := [][]byte{[]byte("put"), []byte(key), []byte(fmt.Sprintf("%d", i))}
-		resp, err := f.endorser.Endorse(peer.Proposal{
-			TxID: txID, ChannelID: channelID, Chaincode: "plainbench", Args: args, Creator: creator,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		txs[i] = &ledger.Transaction{
-			ID: txID, ChannelID: channelID, Chaincode: "plainbench", Creator: creator, Args: args,
-			RWSet:        resp.RWSet,
-			Endorsements: []ledger.Endorsement{{Endorser: resp.Endorser, Signature: resp.Signature}},
-		}
-	}
-	chain, err := f.endorser.ChainOn(channelID)
-	if err != nil {
-		b.Fatal(err)
-	}
-	assembler := orderer.NewAssembler(chain.Last())
-	block, err := assembler.Assemble(orderer.Batch{Transactions: txs, Reason: orderer.CutMaxMessages})
-	if err != nil {
-		b.Fatal(err)
-	}
-	return block
-}
-
-// BenchmarkCommitFinalize measures the intra-block dependency scheduler:
-// one 100-transaction plain block at 0/25/100% conflict rate, finalized at
-// 1/2/4/8 finalize workers with the endorsement-validation pool pinned
-// (Workers=4) so only the finalize stage's parallelism moves. Conflict-free
-// blocks are one wavefront — the shape multi-core hosts speed up; the
-// all-conflicting block degenerates to one transaction per wave, the
-// scheduler's honest worst case. On a single-core host every setting
-// reports parity (the scheduler adds no parallelism to one CPU); that
-// parity entry is recorded as-is rather than filtered.
-func BenchmarkCommitFinalize(b *testing.B) {
-	const blockTxs, workers = 100, 4
-	fix := newCommitFixture(b, true)
-	fix.endorser.InstallChaincode("plainbench", plainBenchChaincode(), fix.policy)
-	for _, conflictPct := range []int{0, 25, 100} {
-		block := fix.endorsedPlainBlock(b, blockTxs, conflictPct)
-		// Only the first transaction of the hot-key chain survives MVCC.
-		wantCommitted := blockTxs
-		if conflictPct > 0 {
-			wantCommitted = blockTxs - blockTxs*conflictPct/100 + 1
-		}
-		for _, fw := range []int{1, 2, 4, 8} {
-			b.Run(fmt.Sprintf("conflict=%d/finalize=%d", conflictPct, fw), func(b *testing.B) {
-				cfg := peer.CommitterConfig{Workers: workers, FinalizeWorkers: fw}
-				var total time.Duration
-				var lastPeer *peer.Peer
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					b.StopTimer()
-					p := fix.newPeer(b, cfg)
-					p.InstallChaincode("plainbench", plainBenchChaincode(), fix.policy)
-					lastPeer = p
-					b.StartTimer()
-					start := time.Now()
-					res, err := p.CommitBlock(block)
-					if err != nil {
-						b.Fatal(err)
-					}
-					total += time.Since(start)
-					if res.CommittedTx != wantCommitted {
-						b.Fatalf("committed %d/%d", res.CommittedTx, wantCommitted)
-					}
-				}
-				nsPerBlock := total.Nanoseconds() / int64(b.N)
-				txPerSec := float64(blockTxs) / (float64(nsPerBlock) / 1e9)
-				b.ReportMetric(txPerSec, "tx/s")
-				for _, s := range lastPeer.CommitTimings() {
-					if s.Stage == peer.StageFinalize || s.Stage == peer.StageSchedule || s.Stage == peer.StageMVCC {
-						b.ReportMetric(float64(s.Avg.Nanoseconds()), s.Stage+"_ns")
-					}
-				}
-				recordCommitBench(b, commitBenchEntry{
-					CRDT: true, Backend: peer.BackendMemory, BlockTxs: blockTxs,
-					Workers: workers, FinalizeWorkers: fw, ConflictRate: conflictPct,
-					NsPerBlock: nsPerBlock, TxPerSec: txPerSec,
-				}.obsSnapshot(lastPeer))
-			})
-		}
 	}
 }
 

@@ -52,18 +52,14 @@ type (
 	// endorsement-validation worker pool, the async cross-block pipeline
 	// depth (Pipeline: how many delivered blocks are decoded and
 	// endorsement-validated ahead of the serialized commit stage; 0 =
-	// synchronous), the world-state backend (Backend/StateShards/
-	// DataDir/SyncEveryApply/StateCacheBytes — see the Backend* constants)
-	// and the durable block store (PersistBlocks — see the PersistBlocks*
+	// synchronous), the world-state backend (Backend/DataDir/
+	// SyncEveryApply/StateCacheBytes — see the Backend* constants) and the
+	// durable block store (PersistBlocks — see the PersistBlocks*
 	// constants; on by default with the durable backends BackendDisk and
-	// BackendLSM) and the intra-block finalize scheduler
-	// (FinalizeWorkers: >1 validates non-conflicting transactions of one
-	// block concurrently along a dependency-graph wavefront schedule, with
-	// the CRDT merge running beside MVCC validation; 1 = serial; 0 inherits
-	// Workers). One configuration applies per channel: a zero Workers is
-	// resolved adaptively (the host's CPUs divided across the network's
-	// channels); any Workers, Pipeline or FinalizeWorkers setting produces
-	// identical commit results.
+	// BackendLSM). One configuration applies per channel: a zero Workers
+	// is resolved adaptively (the host's CPUs divided across the network's
+	// channels); any Workers or Pipeline setting produces identical commit
+	// results.
 	CommitterConfig = peer.CommitterConfig
 	// CommitStageSummary aggregates one commit-pipeline stage's latencies,
 	// as returned by Peer.CommitTimings.
@@ -72,19 +68,12 @@ type (
 	// (Peer.CommitAggregate): Wall is elapsed pipeline time, CPU sums the
 	// work done inside it — concurrent stages make CPU exceed Wall.
 	CommitAggregate = peer.CommitAggregate
-	// SchedulerCounter is one finalize-scheduler statistic, as returned by
-	// Peer.SchedulerCounters (scheduled blocks/transactions, conflict
-	// groups, dependency edges, wavefront counts).
-	SchedulerCounter = metrics.Counter
 )
 
 // World-state backend names for CommitterConfig.Backend.
 const (
 	// BackendMemory is the single-lock in-memory map (the default).
 	BackendMemory = peer.BackendMemory
-	// BackendSharded spreads keys over CommitterConfig.StateShards
-	// independently locked in-memory shards.
-	BackendSharded = peer.BackendSharded
 	// BackendDisk persists the world state under CommitterConfig.DataDir
 	// (append-only log + snapshot): peers restarted over the same
 	// directory resume from the recorded block height instead of

@@ -101,6 +101,7 @@ func TestNewRuntimeRejectsBadBackendConfig(t *testing.T) {
 		"lsm-no-datadir":        {Backend: BackendLSM},
 		"misspelled-entry":      {Backend: "Memory"},
 		"misspelled-lsm":        {Backend: "LSM"},
+		"removed-sharded":       {Backend: "sharded"},
 		"blocks-on-memory":      {Backend: BackendMemory, PersistBlocks: PersistBlocksOn},
 		"blocks-on-no-backend":  {PersistBlocks: PersistBlocksOn},
 		"blocks-unknown-mode":   {Backend: BackendDisk, DataDir: t.TempDir(), PersistBlocks: "bogus"},
@@ -113,8 +114,6 @@ func TestNewRuntimeRejectsBadBackendConfig(t *testing.T) {
 	for _, committer := range []CommitterConfig{
 		{},
 		{Backend: BackendMemory},
-		{Backend: BackendSharded, StateShards: 4},
-		{StateShards: 8},
 		{Backend: BackendDisk, DataDir: t.TempDir()},
 		{Backend: BackendDisk, DataDir: t.TempDir(), PersistBlocks: PersistBlocksOn},
 		{Backend: BackendDisk, DataDir: t.TempDir(), PersistBlocks: PersistBlocksOff},

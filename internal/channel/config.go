@@ -14,9 +14,6 @@ import (
 const (
 	// BackendMemory is the trivial single-lock in-memory map.
 	BackendMemory = "memory"
-	// BackendSharded is the in-memory backend with per-shard locks
-	// (StateShards many).
-	BackendSharded = "sharded"
 	// BackendDisk is the persistent append-only-log backend; requires
 	// DataDir. A peer reopening the same DataDir resumes every channel
 	// from its last committed block instead of replaying the chain.
@@ -61,16 +58,6 @@ type CommitterConfig struct {
 	// (AdaptiveWorkers). Validation codes, world state and persisted CRDT
 	// documents are identical at every setting.
 	Workers int
-	// FinalizeWorkers bounds the parallelism INSIDE the serialized finalize
-	// stage: with a value > 1 the committer builds each block's transaction
-	// dependency schedule (internal/txgraph) and validates non-conflicting
-	// transactions concurrently — MVCC wavefronts and the CRDT merge run
-	// side by side over up to this many goroutines — while dedup and the
-	// final batch/append stay ordered (DESIGN.md §9). 1 = the legacy fully
-	// serial finalize. 0 = inherit the resolved Workers. Validation codes,
-	// world state, persisted CRDT documents and block hashes are identical
-	// at every setting.
-	FinalizeWorkers int
 	// Pipeline is the async commit pipeline depth per (peer, channel)
 	// deliver loop: how many delivered blocks may sit decoded and
 	// endorsement-validated ahead of the serialized finalize stage
@@ -82,13 +69,8 @@ type CommitterConfig struct {
 	// calls — it configures deliver-loop drivers (fabricnet, and any
 	// embedder of Peer.CommitPipeline).
 	Pipeline int
-	// StateShards selects the sharded statedb backend with that many
-	// independently locked shards; 0 or 1 keeps the trivial single-lock
-	// map backend. Ignored unless Backend is "" or BackendSharded.
-	StateShards int
-	// Backend names the statedb backend: BackendMemory, BackendSharded,
-	// BackendDisk or BackendLSM. Empty keeps the historical behavior
-	// (sharded when StateShards > 1, memory otherwise). Unknown names fail
+	// Backend names the statedb backend: BackendMemory, BackendDisk or
+	// BackendLSM. Empty means BackendMemory. Unknown names fail
 	// construction.
 	Backend string
 	// DataDir is the durable backends' data directory (required for
@@ -190,15 +172,8 @@ func rejectLegacyStore(dataDir string) error {
 // fsync the channel's block store before making a state snapshot durable.
 func newStateDB(channelID string, c CommitterConfig, beforeCompact func() error) (*statedb.DB, error) {
 	switch c.Backend {
-	case "":
-		if c.StateShards > 1 {
-			return statedb.NewSharded(c.StateShards), nil
-		}
+	case "", BackendMemory:
 		return statedb.New(), nil
-	case BackendMemory:
-		return statedb.New(), nil
-	case BackendSharded:
-		return statedb.NewSharded(c.StateShards), nil
 	case BackendDisk:
 		if c.DataDir == "" {
 			return nil, errors.New("disk state backend requires CommitterConfig.DataDir")
@@ -222,7 +197,7 @@ func newStateDB(channelID string, c CommitterConfig, beforeCompact func() error)
 				BeforeCompact:  beforeCompact,
 			})
 	default:
-		return nil, fmt.Errorf("unknown state backend %q (want %s, %s, %s or %s)",
-			c.Backend, BackendMemory, BackendSharded, BackendDisk, BackendLSM)
+		return nil, fmt.Errorf("unknown state backend %q (want %s, %s or %s)",
+			c.Backend, BackendMemory, BackendDisk, BackendLSM)
 	}
 }

@@ -147,41 +147,10 @@ type keyGroup struct {
 // The caller runs stock MVCC validation afterwards for the remaining
 // transactions (Algorithm 1 line 15) and commits both groups in one batch.
 func (e *Engine) MergeBlock(block *ledger.Block, codes []ledger.ValidationCode) (Result, error) {
-	return e.MergeCandidates(block, codes, CRDTCandidates(block, codes), 0)
-}
-
-// CRDTCandidates lists (ascending) the transactions eligible for the merge
-// path: still undecided and carrying at least one CRDT-flagged write.
-func CRDTCandidates(block *ledger.Block, codes []ledger.ValidationCode) []int {
-	var candidates []int
-	for i, tx := range block.Transactions {
-		if codes[i] != ledger.CodeNotValidated {
-			continue // failed endorsement validation; never merged
-		}
-		if !tx.RWSet.HasCRDTWrites() {
-			continue // non-CRDT transaction: left for MVCC validation
-		}
-		candidates = append(candidates, i)
-	}
-	return candidates
-}
-
-// MergeCandidates is MergeBlock over an explicit candidate set (ascending
-// transaction indices, as from CRDTCandidates or a txgraph plan). The
-// engine reads and writes codes ONLY at candidate indices, so the parallel
-// finalize stage can run the merge concurrently with MVCC validation of the
-// remaining transactions over the same codes slice without a data race.
-// workers overrides Options.Workers for this call when > 0 (the finalize
-// stage's own worker knob); per-key write order is block order regardless,
-// so results are byte-identical at every setting.
-func (e *Engine) MergeCandidates(block *ledger.Block, codes []ledger.ValidationCode, candidates []int, workers int) (Result, error) {
-	if workers <= 0 {
-		workers = e.opts.Workers
-	}
-	groups, flat := classify(block, candidates)
+	groups, flat, candidates := classify(block, codes)
 
 	// Merge pass: each group replays its key's writes in block order.
-	e.forEachGroup(workers, groups, e.runGroup)
+	e.forEachGroup(groups, e.runGroup)
 	if err := firstMergeError(flat); err != nil {
 		return Result{}, err
 	}
@@ -224,7 +193,7 @@ func (e *Engine) MergeCandidates(block *ledger.Block, codes []ledger.ValidationC
 	// metadata stripped, and serialize the states to persist. The paper's
 	// literal algorithm converts the document anew for every transaction;
 	// SerializeOncePerKey caches it.
-	e.forEachGroup(workers, groups, func(g *keyGroup) { e.finishGroup(g, codes) })
+	e.forEachGroup(groups, func(g *keyGroup) { e.finishGroup(g, codes) })
 	for _, g := range groups {
 		if g.finishErr != nil {
 			return Result{}, g.finishErr
@@ -252,15 +221,23 @@ type flatOp struct {
 	op *mergeOp
 }
 
-// classify walks the candidate transactions in block order and groups
-// their CRDT writes by key. It is the serial stage of the pipeline: cheap
-// bookkeeping only, no parsing or merging.
-func classify(block *ledger.Block, candidates []int) ([]*keyGroup, []flatOp) {
+// classify walks the block in order and groups CRDT writes by key. It is
+// the serial stage of the pipeline: cheap bookkeeping only, no parsing or
+// merging. candidates lists (ascending) the transactions eligible for the
+// merge path.
+func classify(block *ledger.Block, codes []ledger.ValidationCode) ([]*keyGroup, []flatOp, []int) {
 	byKey := make(map[string]*keyGroup)
 	var groups []*keyGroup
 	var flat []flatOp
-	for _, i := range candidates {
-		tx := block.Transactions[i]
+	var candidates []int
+	for i, tx := range block.Transactions {
+		if codes[i] != ledger.CodeNotValidated {
+			continue // failed endorsement validation; never merged
+		}
+		if !tx.RWSet.HasCRDTWrites() {
+			continue // non-CRDT transaction: left for MVCC validation
+		}
+		candidates = append(candidates, i)
 		for wi := range tx.RWSet.Writes {
 			w := &tx.RWSet.Writes[wi]
 			if !w.IsCRDT {
@@ -277,14 +254,14 @@ func classify(block *ledger.Block, candidates []int) ([]*keyGroup, []flatOp) {
 			flat = append(flat, flatOp{g: g, op: op})
 		}
 	}
-	return groups, flat
+	return groups, flat, candidates
 }
 
-// forEachGroup runs fn over every group, spreading groups over workers
-// goroutines when > 1. Groups are independent, so the schedule cannot
-// affect results.
-func (e *Engine) forEachGroup(workers int, groups []*keyGroup, fn func(*keyGroup)) {
-	parallel.ForEach(workers, groups, fn)
+// forEachGroup runs fn over every group, spreading groups over
+// Options.Workers goroutines when > 1. Groups are independent, so the
+// schedule cannot affect results.
+func (e *Engine) forEachGroup(groups []*keyGroup, fn func(*keyGroup)) {
+	parallel.ForEach(e.opts.Workers, groups, fn)
 }
 
 // runGroup merges one key's writes in block order. Bad deltas mark the op

@@ -502,7 +502,13 @@ func TestStateRoundTripDeterministic(t *testing.T) {
 
 func TestUnmarshalBinaryErrors(t *testing.T) {
 	doc := NewDoc("p0")
-	for _, bad := range []string{"", "{", `{"applied": ["notanid"], "root": {}}`} {
+	for _, bad := range []string{
+		"", "{", `{"applied": ["notanid"], "root": {}}`,
+		// Entries with no body: a null map entry and a list element
+		// without an entry (both once dereferenced nil).
+		`{"replica":"r","counter":1,"root":{"entries":{"a":null}}}`,
+		`{"replica":"r","counter":1,"root":{"entries":{"a":{"list":[{"id":"1@r"}]}}}}`,
+	} {
 		if err := doc.UnmarshalBinary([]byte(bad)); err == nil {
 			t.Errorf("UnmarshalBinary(%q) succeeded, want error", bad)
 		}

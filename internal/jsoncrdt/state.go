@@ -2,6 +2,7 @@ package jsoncrdt
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"sort"
 
@@ -149,6 +150,9 @@ func unmarshalMap(st *mapState) (*mapNode, error) {
 }
 
 func unmarshalEntry(st *entryState) (*entry, error) {
+	if st == nil {
+		return nil, errors.New("jsoncrdt: decoding document state: entry has no body")
+	}
 	e := newEntry()
 	for _, s := range st.Pres {
 		id, err := lamport.Parse(s)

@@ -15,7 +15,6 @@ import (
 var commitPathPackages = map[string]bool{
 	"core":     true,
 	"mvcc":     true,
-	"txgraph":  true,
 	"crdt":     true,
 	"jsoncrdt": true,
 	"peer":     true,

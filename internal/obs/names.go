@@ -17,14 +17,6 @@ const (
 	MetricPeerEventQueueDepth = "fabriccrdt_peer_event_queue_depth" // gauge{peer}
 	MetricPeerEventListeners  = "fabriccrdt_peer_event_listeners"   // gauge{peer}
 
-	// Finalize scheduler (mirrors of peer metrics.Counters; label peer).
-	MetricSchedBlocks     = "fabriccrdt_sched_blocks_total"         // counter{peer}
-	MetricSchedTxs        = "fabriccrdt_sched_txs_total"            // counter{peer}
-	MetricSchedGroups     = "fabriccrdt_sched_groups_total"         // counter{peer}
-	MetricSchedConflicted = "fabriccrdt_sched_conflicted_txs_total" // counter{peer}
-	MetricSchedEdges      = "fabriccrdt_sched_edges_total"          // counter{peer}
-	MetricSchedWaves      = "fabriccrdt_sched_mvcc_waves_total"     // counter{peer}
-
 	// State and block stores (per-peer registries; labels peer, channel).
 	MetricStatedbKeys        = "fabriccrdt_statedb_keys"               // gauge{peer,channel}
 	MetricStatedbLogBytes    = "fabriccrdt_statedb_log_bytes"          // gauge{peer,channel}

@@ -58,21 +58,22 @@ func assertSameChain(t *testing.T, a, b *Peer) {
 	}
 }
 
-// TestScheduledFinalizeDeterminism is the tentpole's guarantee: the
-// dependency-scheduled finalize produces byte-identical state, validation
-// codes and block hashes at every worker count, across randomized conflict
-// mixes — CRDT chains, MVCC winners and losers, read-only transactions,
-// invalid deltas, duplicates and forged signatures. The serial variant
-// (FinalizeWorkers 1) pins the legacy path as the reference next to the
-// baseline. Runs under -race via `make race` / CI, which is what makes the
-// merge-beside-MVCC concurrency claim trustworthy.
+// TestScheduledFinalizeDeterminism pins byte-identical state, validation
+// codes and block hashes across randomized conflict mixes — CRDT chains,
+// MVCC winners and losers, read-only transactions, invalid deltas,
+// duplicates and forged signatures — at every worker count, and between
+// serial commit (CommitBlock) and pipelined commit (CommitPipeline at
+// depth 2, where prepare of block N+1 runs beside finalize of block N).
+// Runs under -race via `make race` / CI, which is what makes the
+// parallel endorse and merge pools trustworthy.
 func TestScheduledFinalizeDeterminism(t *testing.T) {
 	env := newPipelineEnv(t, []CommitterConfig{
-		{Workers: 4, FinalizeWorkers: 1}, // legacy serial finalize
-		{Workers: 4, FinalizeWorkers: 2},
-		{Workers: 4, FinalizeWorkers: 4},
-		{Workers: 8, FinalizeWorkers: 8},
+		{Workers: 1},
+		{Workers: 4},
+		{Workers: 8},
+		{Workers: 4}, // fed through CommitPipeline at depth 2
 	})
+	direct, pipelined := env.variants[:len(env.variants)-1], env.variants[len(env.variants)-1]
 	env.install(t, "iot", multiKeyCRDTChaincode())
 	env.install(t, "plain", plainChaincode())
 	env.install(t, "bad", badCRDTChaincode())
@@ -109,14 +110,16 @@ func TestScheduledFinalizeDeterminism(t *testing.T) {
 		return txs
 	}
 
+	var blocks []*ledger.Block
 	for blockRound := 0; blockRound < 4; blockRound++ {
 		txs := makeTxs(12 + rng.Intn(24))
 		block := makeBlock(t, env.baseline, txs)
+		blocks = append(blocks, block)
 		want, err := env.baseline.CommitBlock(block)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, p := range env.variants {
+		for _, p := range direct {
 			got, err := p.CommitBlock(block)
 			if err != nil {
 				t.Fatalf("peer %s: %v", p.Name(), err)
@@ -131,6 +134,9 @@ func TestScheduledFinalizeDeterminism(t *testing.T) {
 				t.Errorf("block %d: %s committed %d, baseline %d", blockRound, p.Name(), got.CommittedTx, want.CommittedTx)
 			}
 		}
+	}
+	if err := pipelined.CommitPipeline("ch1", feed(blocks), 2); err != nil {
+		t.Fatalf("peer %s: %v", pipelined.Name(), err)
 	}
 	for _, p := range env.variants {
 		assertSameWorldState(t, env.baseline, p)
@@ -161,10 +167,9 @@ func commitEverywhere(t *testing.T, env *pipelineEnv, txs []*ledger.Transaction)
 }
 
 // TestScheduledFinalizeAllConflicting: every transaction writes the same
-// plain key — the schedule degenerates to one transaction per wave (fully
-// serial) and must neither deadlock nor change the single-winner outcome.
+// plain key — only the first writer survives MVCC.
 func TestScheduledFinalizeAllConflicting(t *testing.T) {
-	env := newPipelineEnv(t, []CommitterConfig{{Workers: 4, FinalizeWorkers: 4}})
+	env := newPipelineEnv(t, []CommitterConfig{{Workers: 4}})
 	env.install(t, "plain", plainChaincode())
 	var txs []*ledger.Transaction
 	for i := 0; i < 20; i++ {
@@ -182,10 +187,10 @@ func TestScheduledFinalizeAllConflicting(t *testing.T) {
 	}
 }
 
-// TestScheduledFinalizeAllIndependent: disjoint keys — one wave, every
-// transaction commits.
+// TestScheduledFinalizeAllIndependent: disjoint keys — every transaction
+// commits.
 func TestScheduledFinalizeAllIndependent(t *testing.T) {
-	env := newPipelineEnv(t, []CommitterConfig{{Workers: 4, FinalizeWorkers: 4}})
+	env := newPipelineEnv(t, []CommitterConfig{{Workers: 4}})
 	env.install(t, "plain", plainChaincode())
 	var txs []*ledger.Transaction
 	for i := 0; i < 20; i++ {
@@ -200,7 +205,7 @@ func TestScheduledFinalizeAllIndependent(t *testing.T) {
 // TestScheduledFinalizeReadOnly: read-only transactions commit as valid and
 // order correctly around a writer of the same key.
 func TestScheduledFinalizeReadOnly(t *testing.T) {
-	env := newPipelineEnv(t, []CommitterConfig{{Workers: 4, FinalizeWorkers: 4}})
+	env := newPipelineEnv(t, []CommitterConfig{{Workers: 4}})
 	env.install(t, "plain", plainChaincode())
 	env.install(t, "reader", readOnlyChaincode())
 	// Seed the key, then a block of readers around a writer: the readers
@@ -222,9 +227,9 @@ func TestScheduledFinalizeReadOnly(t *testing.T) {
 
 // TestScheduledInvalidCRDTInChain: an INVALID_CRDT transaction in the
 // middle of a document chain fails, but its intact delta still extends the
-// document (the PR 5 replay semantics) — under the scheduled finalize too.
+// document (the block-replay semantics), at every worker count.
 func TestScheduledInvalidCRDTInChain(t *testing.T) {
-	env := newPipelineEnv(t, []CommitterConfig{{Workers: 4, FinalizeWorkers: 4}})
+	env := newPipelineEnv(t, []CommitterConfig{{Workers: 4}})
 	env.install(t, "iot", multiKeyCRDTChaincode())
 	env.install(t, "bad", badCRDTChaincode())
 	txs := []*ledger.Transaction{
@@ -357,10 +362,10 @@ func TestSlowEventSubscriberNeverBlocksCommit(t *testing.T) {
 	}
 }
 
-// TestCommitAggregateAndSchedulerCounters: the skew-free timing rollup and
-// the scheduler's conflict counters are populated by a scheduled commit.
-func TestCommitAggregateAndSchedulerCounters(t *testing.T) {
-	env := newEnvWithCommitter(t, true, CommitterConfig{Workers: 2, FinalizeWorkers: 2})
+// TestCommitAggregate: the skew-free timing rollup is populated by a
+// commit.
+func TestCommitAggregate(t *testing.T) {
+	env := newEnvWithCommitter(t, true, CommitterConfig{Workers: 2})
 	env.install(t, "plain", plainChaincode())
 	txs := []*ledger.Transaction{
 		env.endorseTx(t, "a", "plain", "put", "k1", "1"),
@@ -372,14 +377,5 @@ func TestCommitAggregateAndSchedulerCounters(t *testing.T) {
 	agg := env.peer.CommitAggregate()
 	if agg.Wall <= 0 || agg.CPU <= 0 {
 		t.Fatalf("aggregate = %+v, want positive wall and cpu", agg)
-	}
-	counters := make(map[string]int64)
-	for _, c := range env.peer.SchedulerCounters() {
-		counters[c.Name] = c.Value
-	}
-	if counters[CounterSchedBlocks] != 1 || counters[CounterSchedTxs] != 2 ||
-		counters[CounterSchedGroups] != 2 || counters[CounterSchedConflicted] != 0 ||
-		counters[CounterSchedWaves] != 1 {
-		t.Fatalf("scheduler counters = %v, want 1 block, 2 txs, 2 groups, 0 conflicted, 1 wave", counters)
 	}
 }

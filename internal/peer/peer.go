@@ -14,8 +14,8 @@
 // Genesis) operates on the peer's default channel, the first configured.
 //
 // Each channel's world state lives behind a configurable statedb backend
-// (CommitterConfig.Backend): in-memory (single-lock or sharded) or the
-// persistent disk backend, stored under DataDir/<channel-ID>. A peer
+// (CommitterConfig.Backend): the in-memory map or a persistent (disk or
+// lsm) backend, stored under DataDir/<channel-ID>. A peer
 // reopening a disk backend's data directory restarts every channel at its
 // own recorded block height — HeightOn reports it, and CommitBlockOn
 // fast-forwards re-delivered blocks at or below it instead of
@@ -42,7 +42,6 @@ import (
 	"fabriccrdt/internal/cryptoid"
 	"fabriccrdt/internal/endorse"
 	"fabriccrdt/internal/ledger"
-	"fabriccrdt/internal/metrics"
 	"fabriccrdt/internal/obs"
 	"fabriccrdt/internal/rwset"
 	"fabriccrdt/internal/statedb"
@@ -161,10 +160,6 @@ type Peer struct {
 	// cm holds each channel's registered instruments; read-only after New,
 	// so the commit hot path observes without locks.
 	cm map[string]*channelMetrics
-	// sched aggregates the dependency scheduler's conflict-structure
-	// counters across all channels (pipeline.go); mirrored into reg as
-	// scrape-time counter callbacks.
-	sched *metrics.Counters
 
 	eventMu   sync.RWMutex
 	listeners []*eventSub
@@ -236,14 +231,6 @@ func New(cfg Config, signer *cryptoid.Signer, msp *cryptoid.MSP) (*Peer, error) 
 	if cfg.EngineOptions.Workers == 0 {
 		cfg.EngineOptions.Workers = cfg.Committer.Workers
 	}
-	// The finalize stage's internal parallelism follows the per-channel
-	// worker pool unless pinned; 1 keeps the legacy fully serial finalize.
-	if cfg.Committer.FinalizeWorkers == 0 {
-		cfg.Committer.FinalizeWorkers = cfg.Committer.Workers
-	}
-	if cfg.Committer.FinalizeWorkers < 1 {
-		cfg.Committer.FinalizeWorkers = 1
-	}
 	p := &Peer{
 		cfg:        cfg,
 		signer:     signer,
@@ -252,7 +239,6 @@ func New(cfg Config, signer *cryptoid.Signer, msp *cryptoid.MSP) (*Peer, error) 
 		channels:   make(map[string]*channel.Runtime, len(ids)),
 		reg:        obs.NewRegistry(),
 		cm:         make(map[string]*channelMetrics, len(ids)),
-		sched:      metrics.NewCounters(),
 	}
 	for _, id := range ids {
 		rt, err := channel.NewRuntime(id, cfg.Committer, cfg.EngineOptions)
@@ -268,9 +254,9 @@ func New(cfg Config, signer *cryptoid.Signer, msp *cryptoid.MSP) (*Peer, error) 
 
 // registerMetrics builds the peer's registry: stage histograms and commit
 // counters per channel, scrape-time gauges over live state (heights, key
-// counts, store sizes, event-queue depth), and counter mirrors of the
-// scheduler tallies. Registration happens once here; afterwards the
-// registry is only read (scrapes) or updated through atomics.
+// counts, store sizes, event-queue depth). Registration happens once
+// here; afterwards the registry is only read (scrapes) or updated through
+// atomics.
 func (p *Peer) registerMetrics() {
 	name := p.cfg.Name
 	for _, id := range p.channelIDs {
@@ -344,19 +330,6 @@ func (p *Peer) registerMetrics() {
 		defer p.eventMu.RUnlock()
 		return float64(len(p.listeners))
 	}, "peer", name)
-	//lint:sorted metric registration only; exposition sorts names, nothing feeds committed state
-	for counter, metric := range map[string]string{
-		CounterSchedBlocks:     obs.MetricSchedBlocks,
-		CounterSchedTxs:        obs.MetricSchedTxs,
-		CounterSchedGroups:     obs.MetricSchedGroups,
-		CounterSchedConflicted: obs.MetricSchedConflicted,
-		CounterSchedEdges:      obs.MetricSchedEdges,
-		CounterSchedWaves:      obs.MetricSchedWaves,
-	} {
-		counter := counter
-		p.reg.CounterFunc(metric,
-			func() float64 { return float64(p.sched.Get(counter)) }, "peer", name)
-	}
 }
 
 // Metrics returns the peer's registry, for serving (merged with the
@@ -439,13 +412,6 @@ func (p *Peer) DefaultChannel() string { return p.channelIDs[0] }
 // the configured CommitterConfig.Workers, or the adaptive derivation
 // (NumCPU spread across channels) when it was left zero.
 func (p *Peer) Workers() int { return p.cfg.Committer.Workers }
-
-// FinalizeWorkers returns the resolved parallelism of the serialized
-// finalize stage: the configured CommitterConfig.FinalizeWorkers, or the
-// resolved Workers when it was left zero. 1 means the legacy serial
-// finalize; above 1 the committer dependency-schedules each block
-// (DESIGN.md §9).
-func (p *Peer) FinalizeWorkers() int { return p.cfg.Committer.FinalizeWorkers }
 
 // DB exposes the default channel's world state (read-side: examples,
 // experiments).
@@ -687,7 +653,7 @@ func (s *eventSub) forward() {
 // CommitEvent.ChannelID. Delivery is off the commit path: events are
 // handed to a per-listener forwarder through an unbounded queue, so a
 // listener that stops reading delays only itself, never a commit
-// (DESIGN.md §9).
+// (DESIGN.md §5).
 func (p *Peer) Events() <-chan CommitEvent {
 	p.eventMu.Lock()
 	defer p.eventMu.Unlock()

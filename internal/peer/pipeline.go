@@ -14,7 +14,6 @@ import (
 	"fabriccrdt/internal/parallel"
 	"fabriccrdt/internal/rwset"
 	"fabriccrdt/internal/statedb"
-	"fabriccrdt/internal/txgraph"
 )
 
 // State backend names for CommitterConfig.Backend (aliases of the channel
@@ -23,9 +22,6 @@ import (
 const (
 	// BackendMemory is the trivial single-lock in-memory map.
 	BackendMemory = channel.BackendMemory
-	// BackendSharded is the in-memory backend with per-shard locks
-	// (StateShards many).
-	BackendSharded = channel.BackendSharded
 	// BackendDisk is the persistent append-only-log backend; requires
 	// DataDir. A peer reopening the same DataDir resumes every channel
 	// from its last committed block instead of replaying the chain.
@@ -66,32 +62,35 @@ type CommitterConfig = channel.CommitterConfig
 // hidden behind the previous block's finalize.
 //
 // Each work stage reports its own wall clock. Under pipelining (depth > 1)
-// and parallel finalize (FinalizeWorkers > 1) the stages overlap — prepare
-// of block N+1 runs behind finalize of N, and merge runs beside mvcc — so
+// the stages overlap — prepare of block N+1 runs behind finalize of N — so
 // summing stage totals OVERSTATES elapsed time (it approximates CPU time
 // instead). The prepare and finalize wrapper stages measure the two
 // pipeline halves' true wall clock, and CommitAggregate reports both views
 // without double counting.
 const (
-	StageDecode   = "decode"    // serialize + re-parse the delivered block
-	StageDedup    = "dedup"     // duplicate transaction-ID screening
-	StageEndorse  = "endorse"   // signature + endorsement-policy checks (parallel)
-	StageSchedule = "schedule"  // dependency-graph + wavefront construction (FinalizeWorkers > 1)
-	StageMerge    = "merge"     // CRDT merge engine (parallel per key-group)
-	StageMVCC     = "mvcc"      // MVCC validation (wavefront-parallel when scheduled)
-	StageMVCCWave = "mvcc_wave" // one MVCC wavefront (contained in mvcc; per-wave latencies)
-	StageApply    = "apply"     // batched world-state apply
-	StageAppend   = "append"    // ledger append + commit events
-	StagePrepare  = "prepare"   // wall clock of the whole stateless prepare half
-	StageFinalize = "finalize"  // wall clock of the whole serialized finalize half
-	StageOverlap  = "overlap"   // prepare time hidden behind the previous finalize
+	StageDecode   = "decode"   // serialize + re-parse the delivered block
+	StageDedup    = "dedup"    // duplicate transaction-ID screening
+	StageEndorse  = "endorse"  // signature + endorsement-policy checks (parallel)
+	StageMerge    = "merge"    // CRDT merge engine (parallel per key-group)
+	StageMVCC     = "mvcc"     // MVCC validation, in delivery order
+	StageApply    = "apply"    // batched world-state apply
+	StageAppend   = "append"   // ledger append + commit events
+	StagePrepare  = "prepare"  // wall clock of the whole stateless prepare half
+	StageFinalize = "finalize" // wall clock of the whole serialized finalize half
+	StageOverlap  = "overlap"  // prepare time hidden behind the previous finalize
 )
+
+// StageSchedule is never observed: finalize runs serially in delivery
+// order and has no scheduling stage, so CommitTimings never reports it.
+// It is kept for readers that list it among the stages they read (the
+// end-to-end benchmark's per-layer breakdown), which see zero.
+const StageSchedule = "schedule"
 
 // commitStages is the canonical stage order: every stage gets a registry
 // histogram per channel at New, and CommitTimings reports in this order.
 var commitStages = []string{
 	StageDecode, StageEndorse, StagePrepare,
-	StageDedup, StageSchedule, StageMerge, StageMVCC, StageMVCCWave,
+	StageDedup, StageMerge, StageMVCC,
 	StageApply, StageAppend, StageFinalize, StageOverlap,
 }
 
@@ -136,20 +135,19 @@ type CommitAggregate struct {
 	// summing stage totals counts overlapped prepare work twice.
 	Wall time.Duration
 	// CPU approximates total busy time: the sum of every work stage's own
-	// wall clock (decode, dedup, endorse, schedule, merge, mvcc, apply,
-	// append). With internal concurrency — merge beside mvcc, parallel
-	// wavefronts — CPU exceeds Wall; the ratio is the pipeline's effective
-	// parallelism.
+	// wall clock (decode, dedup, endorse, merge, mvcc, apply, append). With
+	// pipelining — prepare of one block beside finalize of the previous —
+	// CPU exceeds Wall; the ratio is the pipeline's effective parallelism.
 	CPU time.Duration
 }
 
 // aggregateCPUStages are the non-overlapping work stages whose totals sum
-// to the CPU aggregate. The wrapper stages (prepare, finalize), the overlap
-// pseudo-stage and the per-wave sub-timings (contained in mvcc) are
-// excluded — each would double-count work another stage already reports.
+// to the CPU aggregate. The wrapper stages (prepare, finalize) and the
+// overlap pseudo-stage are excluded — each would double-count work another
+// stage already reports.
 var aggregateCPUStages = map[string]bool{
 	StageDecode: true, StageDedup: true, StageEndorse: true,
-	StageSchedule: true, StageMerge: true, StageMVCC: true,
+	StageMerge: true, StageMVCC: true,
 	StageApply: true, StageAppend: true,
 }
 
@@ -172,35 +170,6 @@ func (p *Peer) CommitAggregate() CommitAggregate {
 		agg.Wall = 0
 	}
 	return agg
-}
-
-// Scheduler counter names, as reported by SchedulerCounters. One sample of
-// each per block that went through the dependency scheduler
-// (FinalizeWorkers > 1).
-const (
-	// CounterSchedBlocks counts dependency-scheduled blocks.
-	CounterSchedBlocks = "sched_blocks"
-	// CounterSchedTxs counts transactions entering the scheduler (still
-	// undecided after dedup).
-	CounterSchedTxs = "sched_txs"
-	// CounterSchedGroups counts independent conflict groups (connected
-	// components) across scheduled blocks.
-	CounterSchedGroups = "sched_groups"
-	// CounterSchedConflicted counts scheduled transactions that conflicted
-	// with at least one other; divided by CounterSchedTxs it is the
-	// observed conflict rate.
-	CounterSchedConflicted = "sched_conflicted_txs"
-	// CounterSchedEdges counts dependency edges.
-	CounterSchedEdges = "sched_edges"
-	// CounterSchedWaves counts MVCC wavefronts executed.
-	CounterSchedWaves = "sched_mvcc_waves"
-)
-
-// SchedulerCounters returns the dependency scheduler's cumulative conflict
-// structure counters — group counts, conflict tallies, wavefront counts —
-// across every scheduled block on all channels, in first-observed order.
-func (p *Peer) SchedulerCounters() []metrics.Counter {
-	return p.sched.Snapshot()
 }
 
 // CommitBlock runs the commit pipeline on the peer's default channel — the
@@ -370,19 +339,20 @@ func (p *Peer) FinalizeBlockOn(prep *PreparedBlock) (CommitResult, error) {
 		}
 	})
 
-	// Validation: the CRDT merge path (Algorithm 1) and MVCC decide the
-	// block's remaining transactions — serially in delivery order, or
-	// dependency-scheduled over the finalize worker pool (DESIGN.md §9).
-	// Both orderings produce byte-identical codes, write sets and documents.
+	// Validation: the CRDT merge path (Algorithm 1) decides every
+	// candidate first, then MVCC walks the rest in delivery order.
 	var mergeRes core.Result
-	if p.cfg.Committer.FinalizeWorkers > 1 {
-		mergeRes, err = p.validateScheduled(rt, view, codes)
-	} else {
-		mergeRes, err = p.validateSerial(rt, view, codes)
+	if p.cfg.EnableCRDT {
+		cm.time(StageMerge, func() {
+			mergeRes, err = rt.Engine().MergeBlock(view, codes)
+		})
+		if err != nil {
+			return CommitResult{}, fmt.Errorf("peer %s: merging block %d on %s: %w", p.cfg.Name, view.Header.Number, rt.ID(), err)
+		}
 	}
-	if err != nil {
-		return CommitResult{}, fmt.Errorf("peer %s: merging block %d on %s: %w", p.cfg.Name, view.Header.Number, rt.ID(), err)
-	}
+	cm.time(StageMVCC, func() {
+		rt.Validator().ValidateBlock(view.Header.Number, view.Transactions, codes)
+	})
 
 	// Atomic commit: the pristine block body (now carrying its validation
 	// codes) goes to the durable block store FIRST, then the state writes +
@@ -446,81 +416,6 @@ func (p *Peer) FinalizeBlockOn(prep *PreparedBlock) (CommitResult, error) {
 		MergedKeys:  mergeRes.MergedKeys,
 		CommittedTx: committed,
 	}, nil
-}
-
-// validateSerial is the legacy finalize validation (FinalizeWorkers == 1):
-// the CRDT merge decides every candidate first, then MVCC walks the rest in
-// delivery order — the committer's definition of correctness, which the
-// scheduled path must match byte for byte.
-func (p *Peer) validateSerial(rt *channel.Runtime, view *ledger.Block, codes []ledger.ValidationCode) (core.Result, error) {
-	cm := p.cm[rt.ID()]
-	var mergeRes core.Result
-	var err error
-	if p.cfg.EnableCRDT {
-		cm.time(StageMerge, func() {
-			mergeRes, err = rt.Engine().MergeBlock(view, codes)
-		})
-		if err != nil {
-			return core.Result{}, err
-		}
-	}
-	cm.time(StageMVCC, func() {
-		rt.Validator().ValidateBlock(view.Header.Number, view.Transactions, codes)
-	})
-	return mergeRes, nil
-}
-
-// validateScheduled is the dependency-scheduled finalize validation
-// (FinalizeWorkers > 1). The txgraph plan splits the undecided transactions
-// into the merge-path candidates and the MVCC wavefronts; the two families
-// are independent by construction — in the serial path the merge decides
-// every candidate BEFORE ValidateBlock runs, so no candidate's write ever
-// enters MVCC's pending-version accounting — which lets the merge engine
-// and the wavefront validator run concurrently over disjoint codes slots
-// and disjoint transaction footprints. Within every chain, block-delivery
-// order is preserved (per-key merge order in the engine, wave order in the
-// validator), so codes, rewritten write sets and document bytes are
-// byte-identical to validateSerial at any worker count (DESIGN.md §9).
-func (p *Peer) validateScheduled(rt *channel.Runtime, view *ledger.Block, codes []ledger.ValidationCode) (core.Result, error) {
-	cm := p.cm[rt.ID()]
-	workers := p.cfg.Committer.FinalizeWorkers
-	var plan *txgraph.Plan
-	cm.time(StageSchedule, func() {
-		plan = txgraph.Build(view.Transactions, codes, p.cfg.EnableCRDT)
-	})
-	st := plan.Stats
-	p.sched.Add(CounterSchedBlocks, 1)
-	p.sched.Add(CounterSchedTxs, int64(st.Scheduled))
-	p.sched.Add(CounterSchedGroups, int64(st.Groups))
-	p.sched.Add(CounterSchedConflicted, int64(st.Conflicted))
-	p.sched.Add(CounterSchedEdges, int64(st.Edges))
-	p.sched.Add(CounterSchedWaves, int64(st.Waves))
-
-	// The merge branch runs beside the MVCC branch: MergeCandidates touches
-	// codes only at candidate indices, the wavefront validator only at
-	// plain indices, and neither reads the other's slots.
-	var mergeRes core.Result
-	var mergeErr error
-	mergeDone := make(chan struct{})
-	if len(plan.CRDTTxs) > 0 {
-		go func() {
-			defer close(mergeDone)
-			cm.time(StageMerge, func() {
-				mergeRes, mergeErr = rt.Engine().MergeCandidates(view, codes, plan.CRDTTxs, workers)
-			})
-		}()
-	} else {
-		close(mergeDone)
-	}
-	cm.time(StageMVCC, func() {
-		rt.Validator().ValidateScheduled(view.Header.Number, view.Transactions, codes, plan.MVCCWaves, workers,
-			func(_ int, d time.Duration) { cm.observe(StageMVCCWave, d) })
-	})
-	<-mergeDone
-	if mergeErr != nil {
-		return core.Result{}, mergeErr
-	}
-	return mergeRes, nil
 }
 
 // fastForward records an already-committed block (state height at or above

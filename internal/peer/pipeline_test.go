@@ -137,12 +137,12 @@ func badCRDTChaincode() chaincode.Chaincode {
 
 // TestCommitPipelineDeterminism is the refactor's core guarantee: identical
 // block sequences commit to byte-identical world state, versions and
-// validation codes at every Workers / StateShards setting.
+// validation codes at every Workers setting.
 func TestCommitPipelineDeterminism(t *testing.T) {
 	env := newPipelineEnv(t, []CommitterConfig{
-		{Workers: 1, StateShards: 1},
-		{Workers: 4, StateShards: 2},
-		{Workers: 8, StateShards: 16},
+		{Workers: 1},
+		{Workers: 4},
+		{Workers: 8},
 	})
 	env.install(t, "iot", multiKeyCRDTChaincode())
 	env.install(t, "plain", plainChaincode())
@@ -267,7 +267,7 @@ func TestCommitTimingsRecorded(t *testing.T) {
 // TestParallelCommitMatchesKnownResults re-runs the seed's serial commit
 // scenarios through a fully parallel pipeline.
 func TestParallelCommitMatchesKnownResults(t *testing.T) {
-	env := newPipelineEnv(t, []CommitterConfig{{Workers: 8, StateShards: 8}})
+	env := newPipelineEnv(t, []CommitterConfig{{Workers: 8}})
 	env.install(t, "plain", plainChaincode())
 	p := env.variants[0]
 	txs := []*ledger.Transaction{

@@ -394,6 +394,7 @@ func TestNewRejectsBadBackendConfig(t *testing.T) {
 		"unknown-backend":  {Backend: "couchdb"},
 		"disk-no-datadir":  {Backend: BackendDisk},
 		"misspelled-entry": {Backend: "Memory"},
+		"removed-sharded":  {Backend: "sharded"},
 	}
 	for name, committer := range cases {
 		if _, err := newPeer(committer); err == nil {
@@ -403,8 +404,6 @@ func TestNewRejectsBadBackendConfig(t *testing.T) {
 	for _, committer := range []CommitterConfig{
 		{},
 		{Backend: BackendMemory},
-		{Backend: BackendSharded, StateShards: 4},
-		{StateShards: 8},
 		{Backend: BackendDisk, DataDir: t.TempDir()},
 	} {
 		p, err := newPeer(committer)

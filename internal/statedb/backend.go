@@ -15,9 +15,9 @@ import (
 // partially — each key's version is re-checked by MVCC validation at
 // commit, so per-key atomicity suffices there.
 //
-// The built-in implementations are the single-lock mapBackend (New), the
-// per-shard-locked shardedBackend (NewSharded) and the persistent
-// diskBackend (NewDisk / OpenDisk). Durable backends additionally satisfy
+// The built-in implementations are the single-lock mapBackend (New) and
+// the persistent diskBackend (NewDisk / OpenDisk) and lsmBackend
+// (NewLSM). Durable backends additionally satisfy
 // the Durable interface.
 type Backend interface {
 	// Get returns the value stored at key.
@@ -53,8 +53,8 @@ type Durable interface {
 }
 
 // mapBackend is the trivial backend: one map pair behind one global RWMutex.
-// It is the default and the reference implementation the sharded and disk
-// backends are tested against.
+// It is the default and the reference implementation the durable backends
+// are tested against.
 type mapBackend struct {
 	mu   sync.RWMutex
 	data map[string]VersionedValue

@@ -8,8 +8,8 @@ import (
 )
 
 // TestRangeConformance pins the Range contract every backend must agree
-// on, including the degenerate inputs that historically diverged (the
-// sharded backend returned a nil slice for empty scans):
+// on, including the degenerate inputs that historically diverged (a
+// nil slice for empty scans):
 //
 //   - [start, end) sorted ascending
 //   - empty end means "to the last key"
@@ -36,7 +36,6 @@ func TestRangeConformance(t *testing.T) {
 		t.Cleanup(func() { lsm.Close() })
 		return []backendCase{
 			{"memory", New()},
-			{"sharded", NewSharded(4)},
 			{"disk", disk},
 			{"lsm", lsm},
 		}

@@ -8,9 +8,7 @@
 // states, keeping CRDT bookkeeping invisible to chaincode reads.
 //
 // Storage lives behind the Backend interface: New returns the trivial
-// single-lock map backend, NewSharded a backend with per-shard locks so
-// endorsement reads stop contending with commit writes, and NewDisk a
-// persistent backend — an append-only CRC-framed record log plus periodic
+// single-lock map backend, and NewDisk a persistent backend — an append-only CRC-framed record log plus periodic
 // snapshot compaction — whose contents and last-committed block height
 // survive restarts, so a reopened peer resumes from where it stopped
 // instead of replaying the chain (DESIGN.md §4). NewLSM is the second
@@ -52,12 +50,6 @@ type DB struct {
 // New returns an empty world state on the trivial single-lock backend.
 func New() *DB {
 	return &DB{backend: newMapBackend()}
-}
-
-// NewSharded returns an empty world state on a backend with the given
-// number of independently locked shards (values < 2 fall back to 2).
-func NewSharded(shards int) *DB {
-	return &DB{backend: newShardedBackend(shards)}
 }
 
 // NewWithBackend returns a world state over a caller-provided backend.

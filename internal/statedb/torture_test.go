@@ -9,8 +9,8 @@ import (
 	"fabriccrdt/internal/rwset"
 )
 
-// TestBackendTortureEquivalence drives all four backends — memory,
-// sharded, disk, LSM — through one randomized op stream: puts, deletes,
+// TestBackendTortureEquivalence drives all three backends — memory,
+// disk, LSM — through one randomized op stream: puts, deletes,
 // metadata writes, range scans (including degenerate bounds), mid-stream
 // reopens of the durable backends, and thresholds tiny enough that disk
 // compaction, LSM flushes and LSM background compaction all fire during
@@ -27,20 +27,19 @@ func TestBackendTortureEquivalence(t *testing.T) {
 	}
 }
 
-// tortureHarness owns the four backends plus the directories the durable
+// tortureHarness owns the three backends plus the directories the durable
 // two reopen from.
 type tortureHarness struct {
 	ref     *DB // map backend: the executable spec
-	sharded *DB
 	disk    *DB
 	lsm     *DB
 	diskDir string
 	lsmDir  string
 }
 
-func (h *tortureHarness) all() []*DB { return []*DB{h.ref, h.sharded, h.disk, h.lsm} }
+func (h *tortureHarness) all() []*DB { return []*DB{h.ref, h.disk, h.lsm} }
 
-func (h *tortureHarness) names() []string { return []string{"ref", "sharded", "disk", "lsm"} }
+func (h *tortureHarness) names() []string { return []string{"ref", "disk", "lsm"} }
 
 func tortureDiskOptions() DiskOptions {
 	return DiskOptions{CompactAfterBytes: 1 << 10}
@@ -50,7 +49,6 @@ func newTortureHarness(t *testing.T) *tortureHarness {
 	t.Helper()
 	h := &tortureHarness{
 		ref:     New(),
-		sharded: NewSharded(4),
 		diskDir: t.TempDir(),
 		lsmDir:  t.TempDir(),
 	}
