@@ -55,8 +55,8 @@ BENCHES = 'BenchmarkCommitPipeline|BenchmarkCommitBackends|BenchmarkCommitChanne
 bench:
 	$(GO) test -run xxx -bench $(BENCHES) -benchtime=20x .
 
-# One quick pass of the commit benchmark per state backend (memory, disk
-# with and without the block store, lsm), the worker sweep, the
+# One quick pass of the commit benchmark per state backend (memory, lsm
+# with and without the block store), the worker sweep, the
 # channel-scaling sweep (1/2/4/8 channels), the async-pipeline depth sweep
 # (0/1/2/4) and the LSM block-cache pair (dataset larger than the cache vs
 # inside it) — enough for CI to refresh and archive BENCH_commit.json
@@ -65,13 +65,14 @@ bench-smoke:
 	$(GO) test -run xxx -bench $(BENCHES) -benchtime=3x .
 
 # Short-budget coverage-guided fuzzing of the decoders of untrusted bytes —
-# the wire-frame decoder, the LSM sorted-run block decoder and the
-# persisted JSON CRDT document state — enough for CI to catch a decoder
-# regression without a long fuzz run.
+# the wire-frame decoder, the LSM sorted-run block decoder, the persisted
+# JSON CRDT document state and the ledger block decoder — enough for CI to
+# catch a decoder regression without a long fuzz run.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzReadFrame -fuzztime 10s ./internal/wire
 	$(GO) test -run xxx -fuzz FuzzRunDecode -fuzztime 10s ./internal/statedb
 	$(GO) test -run xxx -fuzz FuzzDocState -fuzztime 10s ./internal/jsoncrdt
+	$(GO) test -run xxx -fuzz FuzzUnmarshalBlock -fuzztime 10s ./internal/ledger
 
 # The end-to-end benchmark (e2ebench/) is its own Go module, so the root
 # build, vet, lint and tests never compile it: vet and test it on its own,
@@ -80,8 +81,8 @@ e2ebench-check:
 	cd e2ebench && $(GO) vet . && $(GO) test .
 
 # One short live-network run with durable peers and the block store on,
-# against a throwaway datadir — proves the -backend disk -persist-blocks
+# against a throwaway datadir — proves the -backend lsm -persist-blocks
 # path end to end (CI runs this).
 demo-persist:
 	$(GO) run ./cmd/fabricnet -txs 60 -rate 600 -block 10 -clients 2 \
-		-backend disk -datadir $$(mktemp -d) -persist-blocks
+		-backend lsm -datadir $$(mktemp -d) -persist-blocks

@@ -10,26 +10,26 @@
 //	fabricnet -crdt=false        # stock Fabric (watch transactions fail)
 //	fabricnet -txs 2000 -rate 400 -block 50 -clients 8 -conflict 40
 //	fabricnet -channels channel1,channel2,channel3,channel4   # 4-way sharding
-//	fabricnet -backend disk -datadir ./net-state    # persistent peers
-//	fabricnet -pipeline 4 -backend disk -datadir ./net-state -fsync
+//	fabricnet -backend lsm -datadir ./net-state     # persistent peers
+//	fabricnet -pipeline 4 -backend lsm -datadir ./net-state -fsync
 //	                             # durable peers, commits pipelined 4 deep
-//	fabricnet -backend disk -datadir ./net-state -persist-blocks=false
+//	fabricnet -backend lsm -datadir ./net-state -persist-blocks=false
 //	                             # state checkpoint only, no block bodies
 //	fabricnet -backend lsm -datadir ./net-state -state-cache 64
-//	                             # log-structured state store, 64 MiB block
-//	                             # cache per channel (docs/STATEDB.md)
+//	                             # 64 MiB state block cache per channel
+//	                             # (docs/STATEDB.md)
 //
 // Channels are the sharding unit: the workload generator assigns each
 // transaction a channel round-robin (workload.IoTParams.Channels), clients
 // submit through multi-channel clients, every channel orders and commits
 // independently, and the run reports per-channel block heights. With
-// -backend disk or -backend lsm, rerunning with the same -datadir restores
-// every peer's world state and resumes each channel from its own recorded
-// block height; block bodies persist too by default (-persist-blocks), so
-// restarted peers keep serving their full history and can rebuild their
-// world state from block 0 (docs/PERSISTENCE.md). The lsm backend
-// additionally keeps its resident memory independent of the keyspace —
-// world state can outgrow RAM, bounded by the -state-cache block cache.
+// -backend lsm, rerunning with the same -datadir restores every peer's
+// world state and resumes each channel from its own recorded block height;
+// block bodies persist too by default (-persist-blocks), so restarted
+// peers keep serving their full history and can rebuild their world state
+// from block 0 (docs/PERSISTENCE.md). The lsm backend keeps its resident
+// memory independent of the keyspace — world state can outgrow RAM,
+// bounded by the -state-cache block cache.
 package main
 
 import (
@@ -60,10 +60,10 @@ func main() {
 		conflict    = flag.Int("conflict", 100, "percentage of transactions targeting each channel's shared hot key (paper Table 5)")
 		workers     = flag.Int("workers", 0, "commit-pipeline workers per peer per channel (0 = adaptive: NumCPU spread across channels)")
 		pipeline    = flag.Int("pipeline", 1, "async commit pipeline depth per (peer, channel): how many delivered blocks are decoded and endorsement-validated ahead of the serialized commit stage (0 = synchronous; outcomes are identical at every depth)")
-		backend     = flag.String("backend", "", "state backend per peer: memory|disk|lsm (default: memory)")
-		datadir     = flag.String("datadir", "", "data directory for -backend disk/lsm (one subdirectory per peer, then per channel)")
-		fsync       = flag.Bool("fsync", false, "fsync each peer's state log (and block log) after every committed block (-backend disk/lsm only): closes the power-loss window; the async pipeline hides the added latency")
-		persist     = flag.Bool("persist-blocks", true, "persist committed block bodies in each peer's durable block store (-backend disk/lsm only): restarted peers then serve their full history to lagging peers and can rebuild their world state from block 0")
+		backend     = flag.String("backend", "", "state backend per peer: memory|lsm (default: memory)")
+		datadir     = flag.String("datadir", "", "data directory for -backend lsm (one subdirectory per peer, then per channel)")
+		fsync       = flag.Bool("fsync", false, "fsync each peer's state log (and block log) after every committed block (-backend lsm only): closes the power-loss window; the async pipeline hides the added latency")
+		persist     = flag.Bool("persist-blocks", true, "persist committed block bodies in each peer's durable block store (-backend lsm only): restarted peers then serve their full history to lagging peers and can rebuild their world state from block 0")
 		stateCache  = flag.Int("state-cache", 0, "LSM block cache size in MiB per peer per channel (-backend lsm only; 0 = the 32 MiB default): bounds the memory spent caching sorted-run blocks for reads")
 		timings     = flag.Bool("timings", false, "print per-stage commit latencies per peer")
 
@@ -100,37 +100,29 @@ func main() {
 	switch *backend {
 	case "", fabriccrdt.BackendMemory:
 		if *datadir != "" {
-			fatal(fmt.Errorf("-datadir is only used with -backend disk or lsm; nothing would be persisted"))
+			fatal(fmt.Errorf("-datadir is only used with -backend lsm; nothing would be persisted"))
 		}
 		if *fsync {
-			fatal(fmt.Errorf("-fsync is only used with -backend disk or lsm; there is no log to sync"))
+			fatal(fmt.Errorf("-fsync is only used with -backend lsm; there is no log to sync"))
 		}
 		if persistSet {
-			fatal(fmt.Errorf("-persist-blocks is only used with -backend disk or lsm; there is no durable store to hold block bodies"))
+			fatal(fmt.Errorf("-persist-blocks is only used with -backend lsm; there is no durable store to hold block bodies"))
 		}
-	case fabriccrdt.BackendDisk, fabriccrdt.BackendLSM:
+	case fabriccrdt.BackendLSM:
 		if *datadir == "" {
 			fatal(fmt.Errorf("-backend %s requires -datadir", *backend))
 		}
-		// Defaulted flag = Auto: block persistence on, but a datadir from
-		// before the block store is adopted checkpoint-only instead of
-		// refused. Spelling the flag out insists on the chosen mode.
-		switch {
-		case !persistSet:
-			persistBlocks = fabriccrdt.PersistBlocksAuto
-		case *persist:
-			persistBlocks = fabriccrdt.PersistBlocksOn
-		default:
+		if !*persist {
 			persistBlocks = fabriccrdt.PersistBlocksOff
 		}
 	default:
-		fatal(fmt.Errorf("unknown -backend %q (want memory, disk or lsm)", *backend))
+		fatal(fmt.Errorf("unknown -backend %q (want memory or lsm)", *backend))
 	}
 	if *stateCache < 0 {
 		fatal(fmt.Errorf("-state-cache must be >= 0 MiB (got %d)", *stateCache))
 	}
 	if *stateCache > 0 && *backend != fabriccrdt.BackendLSM {
-		fatal(fmt.Errorf("-state-cache is only used with -backend lsm; the other backends have no block cache"))
+		fatal(fmt.Errorf("-state-cache is only used with -backend lsm; the memory backend has no block cache"))
 	}
 	if *pipeline < 0 {
 		fatal(fmt.Errorf("-pipeline must be >= 0 (got %d)", *pipeline))

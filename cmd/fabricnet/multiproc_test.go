@@ -350,8 +350,8 @@ func TestMultiProcessKillRestartStateIdentical(t *testing.T) {
 	dirA := filepath.Join(t.TempDir(), "peerA")
 	dirB := filepath.Join(t.TempDir(), "peerB")
 	ord, ordAddr := startOrderer(t)
-	peerA, addrA := startPeer(t, "Org1.peer0", "Org1", ordAddr, "-backend", "disk", "-datadir", dirA)
-	peerB, _ := startPeer(t, "Org2.peer0", "Org2", ordAddr, "-backend", "disk", "-datadir", dirB)
+	peerA, addrA := startPeer(t, "Org1.peer0", "Org1", ordAddr, "-backend", "lsm", "-datadir", dirA)
+	peerB, _ := startPeer(t, "Org2.peer0", "Org2", ordAddr, "-backend", "lsm", "-datadir", dirB)
 
 	// Round 1: both peers commit.
 	h1 := clientSubmit(t, addrA, 10)
@@ -367,7 +367,7 @@ func TestMultiProcessKillRestartStateIdentical(t *testing.T) {
 
 	// Restart B over the same data directory: it must resume from its
 	// checkpoint (not block 1) and catch up to the tail over the wire.
-	peerB2, _ := startPeer(t, "Org2.peer0", "Org2", ordAddr, "-backend", "disk", "-datadir", dirB)
+	peerB2, _ := startPeer(t, "Org2.peer0", "Org2", ordAddr, "-backend", "lsm", "-datadir", dirB)
 	peerB2.waitFor(`resumed channel1 at height (\d+)`, 15*time.Second)
 	peerB2.waitFor(fmt.Sprintf(`committed block %d on channel1`, h2), 20*time.Second)
 
@@ -416,7 +416,7 @@ func reopenPeer(t *testing.T, name, org, dir string) *peer.Peer {
 	}
 	p, err := peer.New(peer.Config{
 		Name: name, MSPID: org, Channels: []string{"channel1"}, EnableCRDT: true,
-		Committer: peer.CommitterConfig{Backend: peer.BackendDisk, DataDir: dir},
+		Committer: peer.CommitterConfig{Backend: peer.BackendLSM, DataDir: dir},
 	}, signer, msp)
 	if err != nil {
 		t.Fatal(err)

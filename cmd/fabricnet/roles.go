@@ -5,7 +5,7 @@
 //
 //	fabricnet -role orderer -listen 127.0.0.1:7050 -block 10 -batch-timeout 500ms
 //	fabricnet -role peer -name Org1.peer0 -org Org1 -listen 127.0.0.1:7051 \
-//	    -connect 127.0.0.1:7050 -backend disk -datadir ./peer0
+//	    -connect 127.0.0.1:7050 -backend lsm -datadir ./peer0
 //	fabricnet -role client -org Org1 -connect 127.0.0.1:7051 -txs 20
 //
 // Organization trust crosses the process boundary through a deterministic
@@ -200,7 +200,7 @@ func dialWithRetry(addr string, patience time.Duration) (*wire.Client, error) {
 
 // runPeer runs one peer process: it commits blocks delivered from the
 // orderer (-connect) through the standard deliver loop — resuming from its
-// durable checkpoint when -backend disk reopens an existing -datadir — and
+// durable checkpoint when -backend lsm reopens an existing -datadir — and
 // serves its own wire endpoint (-listen): Endorse, a gateway Submit
 // (broadcast to the orderer + wait for local commit), Broadcast forwarded
 // to the orderer, and Deliver backed by its own chain, so other processes

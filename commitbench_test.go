@@ -147,8 +147,8 @@ func (f *commitFixture) endorsedBlockOn(b *testing.B, channelID string, n int) *
 type commitBenchEntry struct {
 	CRDT    bool   `json:"crdt"`
 	Backend string `json:"backend"`
-	// PersistBlocks marks disk-backend runs with the durable block store
-	// on (one block-body append per commit beside the state log).
+	// PersistBlocks marks LSM-backend runs with the durable block store
+	// on (one block-body append per commit beside the state WAL).
 	PersistBlocks bool `json:"persist_blocks,omitempty"`
 	// CacheBytes is the LSM backend's block-cache budget
 	// (BenchmarkCommitLSMCache; 0 = the statedb default, and for every
@@ -331,11 +331,11 @@ func BenchmarkCommitPipeline(b *testing.B) {
 }
 
 // BenchmarkCommitBackends measures the same staged pipeline with each
-// state backend behind it — the cost of durability (disk, lsm) and the
-// block store's append overhead (persistblocks: disk with block-body
-// persistence, the durable backends' default configuration). CRDT on,
+// state backend behind it — the cost of durability (lsm) and the block
+// store's append overhead (persistblocks: lsm with block-body
+// persistence, the durable backend's default configuration). CRDT on,
 // 100-transaction blocks, 4 workers; one fresh peer (and, for the durable
-// backends, a fresh data directory) per iteration so the logs start empty
+// backend, a fresh data directory) per iteration so the logs start empty
 // every time. The lsm entry here is the in-memtable baseline (one block
 // never triggers a flush); BenchmarkCommitLSMCache covers datasets that
 // spill to sorted runs and stress the block cache.
@@ -352,17 +352,13 @@ func BenchmarkCommitBackends(b *testing.B) {
 		{peer.BackendMemory, peer.BackendMemory, false, func(b *testing.B) peer.CommitterConfig {
 			return peer.CommitterConfig{Workers: workers, Backend: peer.BackendMemory}
 		}},
-		{peer.BackendDisk, peer.BackendDisk, false, func(b *testing.B) peer.CommitterConfig {
-			return peer.CommitterConfig{Workers: workers, Backend: peer.BackendDisk, DataDir: b.TempDir(),
-				PersistBlocks: peer.PersistBlocksOff}
-		}},
-		{"persistblocks", peer.BackendDisk, true, func(b *testing.B) peer.CommitterConfig {
-			return peer.CommitterConfig{Workers: workers, Backend: peer.BackendDisk, DataDir: b.TempDir(),
-				PersistBlocks: peer.PersistBlocksOn}
-		}},
 		{peer.BackendLSM, peer.BackendLSM, false, func(b *testing.B) peer.CommitterConfig {
 			return peer.CommitterConfig{Workers: workers, Backend: peer.BackendLSM, DataDir: b.TempDir(),
 				PersistBlocks: peer.PersistBlocksOff}
+		}},
+		{"persistblocks", peer.BackendLSM, true, func(b *testing.B) peer.CommitterConfig {
+			return peer.CommitterConfig{Workers: workers, Backend: peer.BackendLSM, DataDir: b.TempDir(),
+				PersistBlocks: peer.PersistBlocksOn}
 		}},
 	}
 	for _, backend := range backends {
@@ -448,7 +444,7 @@ func (f *commitFixture) endorsedStream(b *testing.B, nBlocks, txsPerBlock int) [
 // BenchmarkCommitAsync measures the async cross-block commit pipeline: a
 // 24-block deliver stream (10 CRDT transactions per block) driven through
 // Peer.CommitPipeline at depths 0/1/2/4 over the DURABLE peer
-// configuration (disk backend with its default block store, fsync per
+// configuration (LSM backend with its default block store, fsync per
 // committed block — each commit appends the block body, then the state
 // batch, and syncs both). Depth 0 is the
 // synchronous baseline; depth >= 1 decodes and endorsement-validates
@@ -481,7 +477,7 @@ func BenchmarkCommitAsync(b *testing.B) {
 			b.StopTimer()
 			p := fix.newPeer(b, peer.CommitterConfig{
 				Workers: 1, Pipeline: depth,
-				Backend: peer.BackendDisk, DataDir: b.TempDir(), SyncEveryApply: true,
+				Backend: peer.BackendLSM, DataDir: b.TempDir(), SyncEveryApply: true,
 			})
 			lastPeers[depth] = p
 			deliver := make(chan *ledger.Block, len(blocks))
@@ -514,7 +510,7 @@ func BenchmarkCommitAsync(b *testing.B) {
 		txPerSec := float64(nBlocks*blockTxs) / (float64(median.Nanoseconds()) / 1e9)
 		b.ReportMetric(txPerSec, fmt.Sprintf("tx/s@depth%d", depth))
 		recordCommitBench(b, commitBenchEntry{
-			CRDT: true, Backend: peer.BackendDisk, PersistBlocks: true, Pipeline: depth,
+			CRDT: true, Backend: peer.BackendLSM, PersistBlocks: true, Pipeline: depth,
 			BlockTxs: blockTxs, Workers: 1,
 			NsPerBlock: nsPerBlock, TxPerSec: txPerSec,
 		}.obsSnapshot(lastPeers[depth]))

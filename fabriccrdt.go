@@ -55,8 +55,8 @@ type (
 	// synchronous), the world-state backend (Backend/DataDir/
 	// SyncEveryApply/StateCacheBytes — see the Backend* constants) and the
 	// durable block store (PersistBlocks — see the PersistBlocks*
-	// constants; on by default with the durable backends BackendDisk and
-	// BackendLSM). One configuration applies per channel: a zero Workers
+	// constants; on by default with the durable backend BackendLSM). One
+	// configuration applies per channel: a zero Workers
 	// is resolved adaptively (the host's CPUs divided across the network's
 	// channels); any Workers or Pipeline setting produces identical commit
 	// results.
@@ -74,31 +74,26 @@ type (
 const (
 	// BackendMemory is the single-lock in-memory map (the default).
 	BackendMemory = peer.BackendMemory
-	// BackendDisk persists the world state under CommitterConfig.DataDir
-	// (append-only log + snapshot): peers restarted over the same
-	// directory resume from the recorded block height instead of
-	// replaying the chain.
-	BackendDisk = peer.BackendDisk
 	// BackendLSM persists the world state under CommitterConfig.DataDir as
-	// a log-structured store (memtable + sorted runs + bloom filters +
-	// block cache; docs/STATEDB.md). Resumes like BackendDisk, but opening
-	// never rebuilds a full in-memory index, so world state can outgrow
-	// RAM. CommitterConfig.StateCacheBytes bounds its block cache.
+	// a log-structured store (write-ahead log + memtable + sorted runs +
+	// bloom filters + block cache; docs/STATEDB.md): peers restarted over
+	// the same directory resume from the recorded block height instead of
+	// replaying the chain. Opening never rebuilds a full in-memory index,
+	// so world state can outgrow RAM. CommitterConfig.StateCacheBytes
+	// bounds its block cache.
 	BackendLSM = peer.BackendLSM
 )
 
-// Block-body persistence modes for CommitterConfig.PersistBlocks (durable
-// backends only; see docs/PERSISTENCE.md). With the block store on — the
-// durable backends' default — the ledger is the recovery root: a restarted
+// Block-body persistence modes for CommitterConfig.PersistBlocks
+// (BackendLSM only; see docs/PERSISTENCE.md). With the block store on —
+// the LSM backend's default — the ledger is the recovery root: a restarted
 // peer serves its full history to syncing peers and Peer.RebuildState
 // replays the persisted chain into a byte-identical world state.
 const (
 	// PersistBlocksAuto (the zero value) enables the block store whenever
-	// the backend is durable (BackendDisk or BackendLSM); a data directory
-	// from before block persistence is adopted as-is (checkpoint-only
-	// resume) instead of refused.
+	// the backend is durable (BackendLSM).
 	PersistBlocksAuto = peer.PersistBlocksAuto
-	// PersistBlocksOn requires the block store (durable backends only).
+	// PersistBlocksOn requires the block store (BackendLSM only).
 	PersistBlocksOn = peer.PersistBlocksOn
 	// PersistBlocksOff keeps the state-checkpoint-only durability: a
 	// restarted peer resumes committing but cannot serve pre-restart

@@ -13,7 +13,7 @@
 //	blocks.log   framed block records, appended one per committed block
 //	blocks.idx   offset sidecar: where each block's frame starts
 //
-// The log uses the same framing discipline as the statedb disk backend:
+// The log uses the same framing discipline as the statedb LSM WAL:
 //
 //	[4B little-endian payload length][4B CRC32-Castagnoli of payload][payload]
 //
@@ -72,7 +72,7 @@ type Options struct {
 	// default), blocks reach the OS page cache on Append and the disk on
 	// Close or an index flush: a process crash loses nothing, a host power
 	// loss may lose the most recent blocks (never corrupting earlier ones)
-	// — the same durability window as the statedb disk backend.
+	// — the same durability window as the statedb LSM WAL.
 	SyncEveryAppend bool
 }
 
@@ -118,14 +118,6 @@ func (s *Store) Stats() Stats {
 	return Stats{LogBytes: s.size, Appends: s.appends, Fsyncs: s.fsyncs}
 }
 
-// Exists reports whether dir already holds a block log — a cheap probe
-// for stores created by an earlier run, without opening (and thereby
-// creating) one.
-func Exists(dir string) bool {
-	_, err := os.Stat(filepath.Join(dir, logFileName))
-	return err == nil
-}
-
 // Open opens (creating if needed) the block store rooted at dir.
 func Open(dir string, opts Options) (*Store, error) {
 	if dir == "" {
@@ -161,7 +153,7 @@ func (s *Store) Height() uint64 {
 // commit, validation codes included, so the log replays into the same
 // outcomes the live pipeline produced.
 //
-// The write path is fail-stop, like the statedb disk log: after the first
+// The write path is fail-stop, like the statedb LSM WAL: after the first
 // failed append (which may have left a torn frame mid-file) every further
 // Append fails — a frame after a torn one would be discarded by the next
 // open's tail truncation, faking durability.

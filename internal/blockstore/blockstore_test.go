@@ -136,7 +136,7 @@ func TestAppendEnforcesSequence(t *testing.T) {
 	}
 }
 
-// TestTornTailTruncatedOnReopen mirrors the statedb disk suite: every
+// TestTornTailTruncatedOnReopen mirrors the statedb WAL suite: every
 // prefix-truncation of the log's last frame must reopen cleanly with the
 // damaged tail dropped, and the store must accept the dropped block again.
 func TestTornTailTruncatedOnReopen(t *testing.T) {

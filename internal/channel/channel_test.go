@@ -97,15 +97,15 @@ func TestRegistryLifecycle(t *testing.T) {
 func TestNewRuntimeRejectsBadBackendConfig(t *testing.T) {
 	for name, committer := range map[string]CommitterConfig{
 		"unknown-backend":       {Backend: "couchdb"},
-		"disk-no-datadir":       {Backend: BackendDisk},
 		"lsm-no-datadir":        {Backend: BackendLSM},
 		"misspelled-entry":      {Backend: "Memory"},
 		"misspelled-lsm":        {Backend: "LSM"},
 		"removed-sharded":       {Backend: "sharded"},
+		"removed-disk":          {Backend: "disk"},
 		"blocks-on-memory":      {Backend: BackendMemory, PersistBlocks: PersistBlocksOn},
 		"blocks-on-no-backend":  {PersistBlocks: PersistBlocksOn},
-		"blocks-unknown-mode":   {Backend: BackendDisk, DataDir: t.TempDir(), PersistBlocks: "bogus"},
-		"blocks-misspelled-off": {Backend: BackendDisk, DataDir: t.TempDir(), PersistBlocks: "Off"},
+		"blocks-unknown-mode":   {Backend: BackendLSM, DataDir: t.TempDir(), PersistBlocks: "bogus"},
+		"blocks-misspelled-off": {Backend: BackendLSM, DataDir: t.TempDir(), PersistBlocks: "Off"},
 	} {
 		if _, err := NewRuntime("ch1", committer, core.Options{}); err == nil {
 			t.Errorf("%s: NewRuntime accepted %+v", name, committer)
@@ -114,9 +114,6 @@ func TestNewRuntimeRejectsBadBackendConfig(t *testing.T) {
 	for _, committer := range []CommitterConfig{
 		{},
 		{Backend: BackendMemory},
-		{Backend: BackendDisk, DataDir: t.TempDir()},
-		{Backend: BackendDisk, DataDir: t.TempDir(), PersistBlocks: PersistBlocksOn},
-		{Backend: BackendDisk, DataDir: t.TempDir(), PersistBlocks: PersistBlocksOff},
 		{Backend: BackendLSM, DataDir: t.TempDir()},
 		{Backend: BackendLSM, DataDir: t.TempDir(), PersistBlocks: PersistBlocksOn},
 		{Backend: BackendLSM, DataDir: t.TempDir(), PersistBlocks: PersistBlocksOff},
@@ -133,20 +130,20 @@ func TestNewRuntimeRejectsBadBackendConfig(t *testing.T) {
 }
 
 // TestDiskRuntimePerChannelLayout pins the on-disk contract: each channel
-// persists under its own DataDir/<channel-ID> subdirectory — the state
-// store directly inside, the block store (on by default with the disk
-// backend) under its blocks/ subdirectory — so channels on one peer never
-// share a log.
+// persists under its own DataDir/<channel-ID> subdirectory — the LSM
+// state store directly inside, the block store (on by default with the
+// LSM backend) under its blocks/ subdirectory — so channels on one peer
+// never share a log.
 func TestDiskRuntimePerChannelLayout(t *testing.T) {
 	dir := t.TempDir()
-	committer := CommitterConfig{Backend: BackendDisk, DataDir: dir}
+	committer := CommitterConfig{Backend: BackendLSM, DataDir: dir}
 	for _, id := range []string{"ch1", "ch2"} {
 		rt, err := NewRuntime(id, committer, core.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if rt.Blocks() == nil {
-			t.Fatalf("channel %s: block persistence is not on by default with the disk backend", id)
+			t.Fatalf("channel %s: block persistence is not on by default with the LSM backend", id)
 		}
 		if err := rt.Close(); err != nil {
 			t.Fatal(err)
@@ -175,31 +172,13 @@ func TestDiskRuntimePerChannelLayout(t *testing.T) {
 	}
 }
 
-// TestNewRuntimeRejectsLegacyStore: a data directory in the
-// pre-multi-channel layout (state files directly under DataDir) must be
-// refused with a migration hint, not silently abandoned by opening a
-// fresh per-channel subdirectory beside it.
-func TestNewRuntimeRejectsLegacyStore(t *testing.T) {
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "state.log"), []byte{}, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, err := NewRuntime("ch1", CommitterConfig{Backend: BackendDisk, DataDir: dir}, core.Options{})
-	if err == nil {
-		t.Fatal("NewRuntime opened beside a legacy store")
-	}
-	if !strings.Contains(err.Error(), "pre-multi-channel") {
-		t.Fatalf("unhelpful legacy-store error: %v", err)
-	}
-}
-
 // TestNewRuntimeRejectsDamagedStore: a durable store with height but no
 // chain checkpoint (damage, or a store from an incompatible version) must
 // refuse to open — a genesis chain over a non-zero height would make
 // fast-forward silently swallow every new block up to that height.
 func TestNewRuntimeRejectsDamagedStore(t *testing.T) {
 	dir := t.TempDir()
-	db, err := statedb.NewDisk(filepath.Join(dir, "ch1"))
+	db, err := statedb.NewLSM(filepath.Join(dir, "ch1"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +188,7 @@ func TestNewRuntimeRejectsDamagedStore(t *testing.T) {
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	_, err = NewRuntime("ch1", CommitterConfig{Backend: BackendDisk, DataDir: dir}, core.Options{})
+	_, err = NewRuntime("ch1", CommitterConfig{Backend: BackendLSM, DataDir: dir}, core.Options{})
 	if err == nil {
 		t.Fatal("NewRuntime accepted a durable store with height but no checkpoint")
 	}
@@ -223,7 +202,7 @@ func TestNewRuntimeRejectsDamagedStore(t *testing.T) {
 // channel is a different transaction.
 func TestRuntimeDedupIsChannelLocal(t *testing.T) {
 	dir := t.TempDir()
-	committer := CommitterConfig{Backend: BackendDisk, DataDir: dir}
+	committer := CommitterConfig{Backend: BackendLSM, DataDir: dir}
 	rt1, err := NewRuntime("ch1", committer, core.Options{})
 	if err != nil {
 		t.Fatal(err)

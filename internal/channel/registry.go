@@ -14,7 +14,7 @@ import (
 var ErrUnknownChannel = errors.New("channel: unknown channel")
 
 // ValidateIDs checks a channel ID list: it must be non-empty, every name
-// must be non-empty and filesystem-safe (disk backends use the ID as a
+// must be non-empty and filesystem-safe (the LSM backend uses the ID as a
 // directory name), and names must not repeat.
 func ValidateIDs(ids []string) error {
 	if len(ids) == 0 {

@@ -13,9 +13,9 @@
 //     ordered channel ID set and one ordering service per channel
 //     (registry.go).
 //
-// Disk-backed runtimes persist under DataDir/<channel-ID> — the state
+// LSM-backed runtimes persist under DataDir/<channel-ID> — the state
 // store directly in it, the block store (CommitterConfig.PersistBlocks,
-// on by default with the disk backend) under its blocks/ subdirectory —
+// on by default with the LSM backend) under its blocks/ subdirectory —
 // so one DataDir knob captures a whole peer and every channel resumes
 // independently at its own height after a restart (DESIGN.md §6, §8;
 // docs/PERSISTENCE.md has the full layout and recovery matrix).
@@ -25,7 +25,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"os"
 	"path/filepath"
 	"sync"
 
@@ -94,11 +93,11 @@ type Runtime struct {
 
 // NewRuntime opens one channel's world state, block store and chain. It
 // fails when the configured state backend or block persistence setting is
-// invalid, or a store cannot be opened (the durable backends need a usable
+// invalid, or a store cannot be opened (the durable backend needs a usable
 // DataDir; the channel's stores live under DataDir/<id>).
 //
-// With a durable backend (disk or lsm), a runtime constructed over a
-// previously used directory resumes from the persisted state: Height reports the last
+// With the durable backend (lsm), a runtime constructed over a previously
+// used directory resumes from the persisted state: Height reports the last
 // durably committed block, and the chain restarts from the recorded
 // checkpoint instead of genesis — backed by the block store when block
 // persistence is on, so the pre-restart history stays servable. Opening
@@ -110,35 +109,11 @@ func NewRuntime(id string, committer CommitterConfig, engineOpts core.Options) (
 	if err != nil {
 		return nil, fmt.Errorf("channel %s: %w", id, err)
 	}
-	// persist implies a durable backend (disk or lsm): enforce its
-	// preconditions (the ones newStateDB would catch) BEFORE any store is
-	// opened, so a refused configuration creates nothing on disk — notably
-	// no empty blocks/ directory inside a legacy-layout datadir, which
-	// would dead-end the legacy migration hint on the rerun.
-	if persist {
-		if committer.DataDir == "" {
-			return nil, fmt.Errorf("channel %s: %s state backend requires CommitterConfig.DataDir", id, committer.Backend)
-		}
-		if err := rejectLegacyStore(committer.DataDir); err != nil {
-			return nil, fmt.Errorf("channel %s: %w", id, err)
-		}
-	}
-	// A channel directory holding committed state but no block log
-	// predates block persistence (the upgrade path) or was deliberately
-	// created without it. Decide what to do from filesystem probes BEFORE
-	// opening anything, so a refused attempt leaves no empty store
-	// behind: Auto adopts the store's existing checkpoint-only shape —
-	// the documented "rerun with the same -datadir resumes" workflow
-	// keeps working across the upgrade — while an explicit PersistBlocksOn
-	// is refused, because the already-committed bodies cannot be
-	// re-derived.
-	if persist && !blockstore.Exists(filepath.Join(committer.DataDir, id, "blocks")) &&
-		stateHasCommits(filepath.Join(committer.DataDir, id)) {
-		if committer.PersistBlocks == PersistBlocksAuto {
-			persist = false
-		} else {
-			return nil, fmt.Errorf("channel %s: the store under %s has committed state but no block log: it predates block persistence, so the committed bodies cannot be re-derived; reopen with PersistBlocksOff (or the default Auto mode, which adopts the store as-is), or re-sync from a peer holding the history", id, filepath.Join(committer.DataDir, id))
-		}
+	// persist implies the durable backend: check its DataDir (as
+	// newStateDB would) BEFORE the block store opens, so an empty DataDir
+	// never opens <id>/blocks under the working directory.
+	if persist && committer.DataDir == "" {
+		return nil, fmt.Errorf("channel %s: %s state backend requires CommitterConfig.DataDir", id, committer.Backend)
 	}
 	rt := &Runtime{
 		id:           id,
@@ -176,26 +151,6 @@ func NewRuntime(id string, committer CommitterConfig, engineOpts core.Options) (
 	return rt, nil
 }
 
-// stateHasCommits reports whether a durable channel directory holds a
-// state store with at least one committed batch, without opening it. For
-// the disk backend: a non-empty state.log (one frame per committed block)
-// or a compacted snapshot (only ever written after commits). For the LSM
-// backend: a non-empty wal.log or a MANIFEST (only ever written by a
-// flush, which only follows commits).
-func stateHasCommits(chDir string) bool {
-	for _, name := range []string{"state.log", "wal.log"} {
-		if info, err := os.Stat(filepath.Join(chDir, name)); err == nil && info.Size() > 0 {
-			return true
-		}
-	}
-	for _, name := range []string{"state.snap", "MANIFEST"} {
-		if _, err := os.Stat(filepath.Join(chDir, name)); err == nil {
-			return true
-		}
-	}
-	return false
-}
-
 // recoverChain derives the channel's chain from the durable state and,
 // when block persistence is on, reconciles the block log with the state
 // checkpoint: a log durably ahead of the checkpoint (the crash window the
@@ -231,7 +186,7 @@ func (rt *Runtime) recoverChain() (*ledger.Chain, error) {
 	bh := rt.blocks.Height()
 	if bh == 0 {
 		if h > 0 {
-			return nil, fmt.Errorf("durable state at height %d has an empty block log: the store predates block persistence or lost its blocks/ directory; reopen with PersistBlocksOff to keep the checkpoint-only behaviour, or re-sync from a peer holding the history", h)
+			return nil, fmt.Errorf("durable state at height %d has an empty block log: the store was created with PersistBlocksOff or lost its blocks/ directory; reopen with PersistBlocksOff to keep the checkpoint-only behaviour, or re-sync from a peer holding the history", h)
 		}
 		// Fresh store: persist the (deterministic) genesis block so the
 		// durable history starts at block 0 like the in-memory chain.
@@ -410,12 +365,12 @@ func (rt *Runtime) Validator() *mvcc.Validator { return rt.validator }
 func (rt *Runtime) Engine() *core.Engine { return rt.engine }
 
 // Height returns the number of the last block whose writes reached this
-// channel's world state — with the disk backend, the last durably
+// channel's world state — with the LSM backend, the last durably
 // committed block, which survives restarts.
 func (rt *Runtime) Height() uint64 { return rt.db.Height().BlockNum }
 
 // Close releases the channel's block store and state backend (a no-op for
-// in-memory backends). With the disk backend it flushes the logs and
+// in-memory backends). With the LSM backend it flushes the logs and
 // surfaces the first deferred write error; the runtime must not commit
 // afterwards. The block store closes (and syncs) first: a power loss
 // mid-Close must never leave the state durable beyond the block log.

@@ -14,7 +14,7 @@
 //
 // The deliver loops need no restart special-casing: a peer whose world
 // state already covers a delivered block (its channel height at or above
-// the block number — a disk-backed peer rebuilt over its data directory)
+// the block number — an LSM-backed peer rebuilt over its data directory)
 // fast-forwards it inside CommitBlockOn instead of re-validating it.
 //
 // Since the wire-transport refactor, delivery flows through the
@@ -73,11 +73,10 @@ type Config struct {
 	// EngineOptions tunes the merge engine on every peer.
 	EngineOptions core.Options
 	// Committer tunes every peer's staged commit pipeline (validation
-	// worker pool, statedb backend selection and sharding). With a durable
-	// Backend (peer.BackendDisk or peer.BackendLSM), Committer.DataDir is
-	// the shared root directory; each peer persists under
-	// DataDir/<peer-name> (and each
-	// channel under DataDir/<peer-name>/<channel-ID>), so rebuilding a
+	// worker pool, statedb backend selection). With the durable Backend
+	// (peer.BackendLSM), Committer.DataDir is the shared root directory;
+	// each peer persists under DataDir/<peer-name> (and each channel
+	// under DataDir/<peer-name>/<channel-ID>), so rebuilding a
 	// network over the same root restores every peer's world state and
 	// per-channel resume heights.
 	Committer peer.CommitterConfig
@@ -174,8 +173,7 @@ func New(cfg Config) (*Network, error) {
 				return nil, fmt.Errorf("fabricnet: issuing identity for %s: %w", name, err)
 			}
 			committer := cfg.Committer
-			durable := committer.Backend == peer.BackendDisk || committer.Backend == peer.BackendLSM
-			if durable && committer.DataDir != "" {
+			if committer.Backend == peer.BackendLSM && committer.DataDir != "" {
 				// Each peer owns a private store under the shared root —
 				// one DataDir knob configures the whole network.
 				committer.DataDir = filepath.Join(cfg.Committer.DataDir, name)
@@ -463,7 +461,7 @@ func (n *Network) TransportRetries() []error {
 // Stop flushes every channel's orderer, lets the feeders drain into the
 // histories and close them, waits for every deliver loop to finish the
 // retained tail, then closes peer event streams and releases peer state
-// backends (flushing disk-backed world states).
+// backends (flushing LSM-backed world states).
 func (n *Network) Stop() {
 	n.mu.Lock()
 	if !n.started || n.stopped {
@@ -482,7 +480,7 @@ func (n *Network) Stop() {
 }
 
 // closePeers releases every peer's state backends, recording the first
-// failure (a disk backend surfaces deferred write errors on close).
+// failure (the LSM backend surfaces deferred write errors on close).
 func (n *Network) closePeers() {
 	for _, p := range n.peers {
 		if err := p.Close(); err != nil {

@@ -209,14 +209,14 @@ func TestMultiClientRoundRobin(t *testing.T) {
 	}
 }
 
-// TestTwoChannelNetworkRestart is the acceptance test: a disk-backed
+// TestTwoChannelNetworkRestart is the acceptance test: an LSM-backed
 // 2-channel network is stopped with its channels at different heights and
 // rebuilt over the same directory — every peer must resume each channel at
 // its own height with byte-identical per-channel state, and both channels
 // must keep committing from their own resume points.
 func TestTwoChannelNetworkRestart(t *testing.T) {
 	dir := t.TempDir()
-	committer := peer.CommitterConfig{Backend: peer.BackendDisk, DataDir: dir}
+	committer := peer.CommitterConfig{Backend: peer.BackendLSM, DataDir: dir}
 
 	n := newMultiNet(t, 10, committer, "ch1", "ch2")
 	n.Start()
@@ -345,7 +345,7 @@ func TestTwoChannelNetworkRestart(t *testing.T) {
 // alone would have been fine.
 func TestTwoChannelRestartRejectsPartialWipe(t *testing.T) {
 	dir := t.TempDir()
-	committer := peer.CommitterConfig{Backend: peer.BackendDisk, DataDir: dir}
+	committer := peer.CommitterConfig{Backend: peer.BackendLSM, DataDir: dir}
 	n := newMultiNet(t, 10, committer, "ch1", "ch2")
 	n.Start()
 	c, err := n.NewClientOn("ch2", "Org1", "client0", []string{"Org1"})

@@ -12,13 +12,13 @@ import (
 	"fabriccrdt/internal/peer"
 )
 
-// newDiskNet assembles the paper topology with every peer persisting under
+// newLSMNet assembles the paper topology with every peer persisting under
 // dir/<peer-name>.
-func newDiskNet(t *testing.T, dir string) *Network {
+func newLSMNet(t *testing.T, dir string) *Network {
 	t.Helper()
 	cfg := PaperConfig(10, true)
 	cfg.Orderer.BatchTimeout = 100 * time.Millisecond
-	cfg.Committer = peer.CommitterConfig{Backend: peer.BackendDisk, DataDir: dir}
+	cfg.Committer = peer.CommitterConfig{Backend: peer.BackendLSM, DataDir: dir}
 	n, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -52,7 +52,7 @@ func submitReadings(t *testing.T, n *Network, count, base int) {
 	}
 }
 
-// TestNetworkRestartFromDisk stops a disk-backed network and rebuilds it
+// TestNetworkRestartFromDisk stops an LSM-backed network and rebuilds it
 // over the same data directory: every peer must resume at the recorded
 // height with identical state, the rebuilt orderer must continue block
 // numbering from the checkpoint, and new traffic must keep extending the
@@ -60,7 +60,7 @@ func submitReadings(t *testing.T, n *Network, count, base int) {
 func TestNetworkRestartFromDisk(t *testing.T) {
 	dir := t.TempDir()
 
-	n := newDiskNet(t, dir)
+	n := newLSMNet(t, dir)
 	n.Start()
 	submitReadings(t, n, 20, 0)
 	n.Stop()
@@ -77,7 +77,7 @@ func TestNetworkRestartFromDisk(t *testing.T) {
 	}
 
 	// Rebuild the whole network over the same directory.
-	n2 := newDiskNet(t, dir)
+	n2 := newLSMNet(t, dir)
 	for _, p := range n2.Peers() {
 		if got := p.Height(); got != heightBefore {
 			t.Fatalf("peer %s resumed at %d, want %d", p.Name(), got, heightBefore)
@@ -88,7 +88,7 @@ func TestNetworkRestartFromDisk(t *testing.T) {
 		}
 	}
 	// The rebuilt peers kept their block bodies (block persistence is on
-	// by default with the disk backend): the pre-restart history is
+	// by default with the LSM backend): the pre-restart history is
 	// servable from block 0 and the world state is re-derivable from it.
 	p0 := n2.Peers()[0]
 	for num := uint64(0); num <= heightBefore; num++ {
@@ -131,7 +131,7 @@ func TestNetworkRestartFromDisk(t *testing.T) {
 // from different histories.
 func TestNetworkRestartRejectsDivergedHeights(t *testing.T) {
 	dir := t.TempDir()
-	n := newDiskNet(t, dir)
+	n := newLSMNet(t, dir)
 	n.Start()
 	submitReadings(t, n, 10, 0)
 	n.Stop()
@@ -142,7 +142,7 @@ func TestNetworkRestartRejectsDivergedHeights(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := PaperConfig(10, true)
-	cfg.Committer = peer.CommitterConfig{Backend: peer.BackendDisk, DataDir: dir}
+	cfg.Committer = peer.CommitterConfig{Backend: peer.BackendLSM, DataDir: dir}
 	if _, err := New(cfg); err == nil {
 		t.Fatal("network assembled with peers at diverging heights")
 	}
@@ -156,8 +156,8 @@ func TestNewRejectsBadBackend(t *testing.T) {
 	if _, err := New(cfg); err == nil {
 		t.Fatal("unknown backend accepted")
 	}
-	cfg.Committer = peer.CommitterConfig{Backend: peer.BackendDisk}
+	cfg.Committer = peer.CommitterConfig{Backend: peer.BackendLSM}
 	if _, err := New(cfg); err == nil {
-		t.Fatal("disk backend without DataDir accepted")
+		t.Fatal("lsm backend without DataDir accepted")
 	}
 }

@@ -214,11 +214,19 @@ func (b *Block) HeaderHash() []byte {
 // Marshal serializes the block.
 func (b *Block) Marshal() ([]byte, error) { return json.Marshal(b) }
 
-// UnmarshalBlock parses Marshal output.
+// UnmarshalBlock parses Marshal output. A null entry in the transaction
+// list is refused: it hashes into a consistent DataHash, but every commit
+// stage dereferences each transaction, so accepting it would panic the
+// peer instead of refusing the block.
 func UnmarshalBlock(data []byte) (*Block, error) {
 	var b Block
 	if err := json.Unmarshal(data, &b); err != nil {
 		return nil, fmt.Errorf("ledger: decoding block: %w", err)
+	}
+	for i, tx := range b.Transactions {
+		if tx == nil {
+			return nil, fmt.Errorf("ledger: decoding block: transaction %d is null", i)
+		}
 	}
 	return &b, nil
 }

@@ -19,7 +19,7 @@ func makeTx(id string) *Transaction {
 }
 
 // nextBlock builds a block chained onto c's last block.
-func nextBlock(t *testing.T, c *Chain, txs []*Transaction) *Block {
+func nextBlock(t testing.TB, c *Chain, txs []*Transaction) *Block {
 	t.Helper()
 	last := c.Last()
 	dataHash, err := ComputeDataHash(txs)
@@ -157,6 +157,25 @@ func TestUnmarshalErrors(t *testing.T) {
 	if _, err := UnmarshalBlock([]byte("{")); err == nil {
 		t.Fatal("want block decode error")
 	}
+	// A null transaction entry under a consistent data hash decodes to a
+	// nil *Transaction, which the commit pipeline would dereference.
+	if _, err := UnmarshalBlock(nullTxBlockBytes(t)); err == nil {
+		t.Fatal("want block decode error for a null transaction")
+	}
+}
+
+// nullTxBlockBytes marshals a valid one-transaction block with a nil
+// transaction appended and its data hash recomputed over both entries.
+func nullTxBlockBytes(t testing.TB) []byte {
+	t.Helper()
+	c := NewChain("ch1")
+	txs := []*Transaction{makeTx("t1"), nil}
+	b := nextBlock(t, c, txs)
+	raw, err := b.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
 }
 
 func TestEndorsementPayloadIsStable(t *testing.T) {

@@ -35,13 +35,13 @@ func (e *testEnv) newPeerSharing(t *testing.T, name string, committer CommitterC
 }
 
 // TestRestartedPeerServesSyncFrom is the acceptance test for the durable
-// block store's history-serving half: kill + restart a disk-backed peer,
+// block store's history-serving half: kill + restart an LSM-backed peer,
 // then have a FRESH peer catch up from it starting at block 0 — the
 // pre-restart bodies come off the restarted peer's disk, and the fresh
 // peer re-validates everything, ending byte-identical.
 func TestRestartedPeerServesSyncFrom(t *testing.T) {
 	dir := t.TempDir()
-	committer := CommitterConfig{Backend: BackendDisk, DataDir: dir}
+	committer := CommitterConfig{Backend: BackendLSM, DataDir: dir}
 	env := newEnvWithCommitter(t, true, committer)
 	env.install(t, "iot", iotChaincode())
 	const n = 3
@@ -136,7 +136,7 @@ func commitMixedHistory(t *testing.T, env *testEnv) {
 // pre-restart world state byte for byte.
 func TestRestartedPeerRebuildStateByteIdentical(t *testing.T) {
 	dir := t.TempDir()
-	committer := CommitterConfig{Backend: BackendDisk, DataDir: dir}
+	committer := CommitterConfig{Backend: BackendLSM, DataDir: dir}
 	env := newEnvWithCommitter(t, true, committer)
 	env.install(t, "iot", iotChaincode())
 	commitReadingBlocks(t, env, 2, 1)
@@ -201,7 +201,7 @@ func TestRebuildStateReproducesInvalidCRDTHistory(t *testing.T) {
 // the ledger is the recovery root, the world state a rebuildable cache.
 func TestBlockLogGapReplayedOnOpen(t *testing.T) {
 	dir := t.TempDir()
-	committer := CommitterConfig{Backend: BackendDisk, DataDir: dir}
+	committer := CommitterConfig{Backend: BackendLSM, DataDir: dir}
 	env := newEnvWithCommitter(t, true, committer)
 	env.install(t, "iot", iotChaincode())
 	const n = 3
@@ -210,8 +210,15 @@ func TestBlockLogGapReplayedOnOpen(t *testing.T) {
 	if err := env.peer.Close(); err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"state.log", "state.snap"} {
-		if err := os.Remove(filepath.Join(dir, "ch1", name)); err != nil && !os.IsNotExist(err) {
+	entries, err := os.ReadDir(filepath.Join(dir, "ch1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if e.Name() == "blocks" {
+			continue
+		}
+		if err := os.RemoveAll(filepath.Join(dir, "ch1", e.Name())); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -264,9 +271,9 @@ func truncateLastFrame(t *testing.T, path string) {
 // must refuse loudly (with PersistBlocksOff as the documented escape
 // hatch) rather than continue with a hole in the ledger.
 func TestNewRefusesBlockLogBehindState(t *testing.T) {
-	newDiskEnv := func(t *testing.T) (string, CommitterConfig) {
+	newLSMEnv := func(t *testing.T) (string, CommitterConfig) {
 		dir := t.TempDir()
-		committer := CommitterConfig{Backend: BackendDisk, DataDir: dir}
+		committer := CommitterConfig{Backend: BackendLSM, DataDir: dir}
 		env := newEnvWithCommitter(t, true, committer)
 		env.install(t, "iot", iotChaincode())
 		commitReadingBlocks(t, env, 2, 1)
@@ -291,7 +298,7 @@ func TestNewRefusesBlockLogBehindState(t *testing.T) {
 	}
 
 	t.Run("missing-block-log", func(t *testing.T) {
-		dir, committer := newDiskEnv(t)
+		dir, committer := newLSMEnv(t)
 		if err := os.RemoveAll(filepath.Join(dir, "ch1", "blocks")); err != nil {
 			t.Fatal(err)
 		}
@@ -305,22 +312,17 @@ func TestNewRefusesBlockLogBehindState(t *testing.T) {
 		if !strings.Contains(err.Error(), "PersistBlocksOff") {
 			t.Fatalf("refusal does not name the escape hatch: %v", err)
 		}
-		// Auto mode adopts the store's existing shape instead: a state
-		// without a block log predates block persistence (the upgrade
-		// path), so the peer resumes checkpoint-only like before.
+		// Auto mode refuses the same way: it never adopts a store without
+		// its block log.
 		committer.PersistBlocks = PersistBlocksAuto
-		p, err := newPeer(committer)
-		if err != nil {
-			t.Fatalf("Auto adoption of a pre-block-store datadir: %v", err)
+		_, err = newPeer(committer)
+		if err == nil {
+			t.Fatal("New accepted Auto mode over a checkpointed state with no block log")
 		}
-		defer p.Close()
-		if got := p.Height(); got != 2 {
-			t.Fatalf("adopted store resumed height = %d, want 2", got)
+		if !strings.Contains(err.Error(), "PersistBlocksOff") {
+			t.Fatalf("Auto refusal does not name the escape hatch: %v", err)
 		}
-		if got := p.Chain().FirstNumber(); got != 3 {
-			t.Fatalf("adopted store FirstNumber = %d, want 3 (bare checkpointed chain)", got)
-		}
-		// The explicit Off spelling works too.
+		// PersistBlocksOff resumes the store checkpoint-only.
 		committer.PersistBlocks = PersistBlocksOff
 		p2, err := newPeer(committer)
 		if err != nil {
@@ -330,7 +332,7 @@ func TestNewRefusesBlockLogBehindState(t *testing.T) {
 	})
 
 	t.Run("truncated-block-log", func(t *testing.T) {
-		dir, committer := newDiskEnv(t)
+		dir, committer := newLSMEnv(t)
 		truncateLastFrame(t, filepath.Join(dir, "ch1", "blocks", "blocks.log"))
 		if err := os.Remove(filepath.Join(dir, "ch1", "blocks", "blocks.idx")); err != nil && !os.IsNotExist(err) {
 			t.Fatal(err)

@@ -238,11 +238,11 @@ func TestMVCCConflictsIsolatedPerChannel(t *testing.T) {
 }
 
 // TestTwoChannelRestartResumesOwnHeights is the multi-channel crash-restart
-// acceptance test: a disk-backed peer with channels at different heights
+// acceptance test: an LSM-backed peer with channels at different heights
 // must resume each channel at its own height with byte-identical state.
 func TestTwoChannelRestartResumesOwnHeights(t *testing.T) {
 	dir := t.TempDir()
-	committer := CommitterConfig{Backend: BackendDisk, DataDir: dir}
+	committer := CommitterConfig{Backend: BackendLSM, DataDir: dir}
 
 	env := newTwoChannelEnv(t, true, committer)
 	env.install(t, "iot", iotChaincode())

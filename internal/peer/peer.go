@@ -14,14 +14,14 @@
 // Genesis) operates on the peer's default channel, the first configured.
 //
 // Each channel's world state lives behind a configurable statedb backend
-// (CommitterConfig.Backend): the in-memory map or a persistent (disk or
-// lsm) backend, stored under DataDir/<channel-ID>. A peer
-// reopening a disk backend's data directory restarts every channel at its
+// (CommitterConfig.Backend): the in-memory map or the persistent LSM
+// backend, stored under DataDir/<channel-ID>. A peer
+// reopening an LSM backend's data directory restarts every channel at its
 // own recorded block height — HeightOn reports it, and CommitBlockOn
 // fast-forwards re-delivered blocks at or below it instead of
 // re-validating them (DESIGN.md §4, §6).
 //
-// Alongside the state store, the disk backend keeps a durable block store
+// Alongside the state store, the LSM backend keeps a durable block store
 // by default (CommitterConfig.PersistBlocks, internal/blockstore): every
 // committed block body is appended in the finalize stage just before the
 // state apply, so the ledger — not the state snapshot — is the recovery
@@ -201,10 +201,10 @@ func (cm *channelMetrics) time(stage string, fn func()) {
 // channel, signing with the given identity and trusting the given MSP
 // roots. It fails when the channel list is invalid (empty or duplicate
 // names), the configured state backend is unknown, or a channel store
-// cannot be opened (the disk backend needs a usable Committer.DataDir;
+// cannot be opened (the LSM backend needs a usable Committer.DataDir;
 // each channel persists under DataDir/<channel-ID>).
 //
-// With the disk backend, a peer constructed over a previously used DataDir
+// With the LSM backend, a peer constructed over a previously used DataDir
 // resumes every channel from its persisted state: HeightOn reports the
 // last durably committed block per channel, and CommitBlockOn
 // fast-forwards re-delivered blocks up to that height instead of
@@ -293,8 +293,7 @@ func (p *Peer) registerMetrics() {
 				st, _ := rt.DB().Stats()
 				return float64(st.Compactions)
 			}, "peer", name, "channel", id)
-			// LSM-only series (always zero on the disk backend, which has
-			// no memtable flushes, sorted runs or block cache).
+			// Memtable flushes, sorted runs and block-cache traffic.
 			p.reg.CounterFunc(obs.MetricStatedbFlushes, func() float64 {
 				st, _ := rt.DB().Stats()
 				return float64(st.Flushes)
@@ -427,7 +426,7 @@ func (p *Peer) DBOn(channelID string) (*statedb.DB, error) {
 }
 
 // Height returns the number of the last block whose writes reached the
-// default channel's world state — with the disk backend, the last durably
+// default channel's world state — with the LSM backend, the last durably
 // committed block, which survives restarts. Deliver loops can use it to
 // resume at Height()+1; CommitBlock itself fast-forwards any block at or
 // below it.
@@ -443,7 +442,7 @@ func (p *Peer) HeightOn(channelID string) (uint64, error) {
 }
 
 // Close releases every channel's state backend (a no-op for in-memory
-// backends). With the disk backend it flushes each channel's log and
+// backends). With the LSM backend it flushes each channel's log and
 // surfaces the first deferred write error; the peer must not commit
 // afterwards.
 func (p *Peer) Close() error {
@@ -469,7 +468,7 @@ func (p *Peer) ChainOn(channelID string) (*ledger.Chain, error) {
 // restored from a durable state checkpoint without a block store (block
 // persistence off), whose chain no longer holds the genesis body — use
 // Chain().LastRef for the resume point instead. With block persistence on
-// (the disk-backend default) the genesis stays retrievable across
+// (the LSM-backend default) the genesis stays retrievable across
 // restarts.
 func (p *Peer) Genesis() *ledger.Block {
 	g, err := p.Chain().Get(0)
@@ -719,7 +718,7 @@ func (p *Peer) validateEndorsements(rt *channel.Runtime, tx *ledger.Transaction)
 // committing, channel by channel, every block this peer is missing — the
 // state-transfer path a freshly joined or restarted peer runs before
 // serving endorsements. The source must have every channel this peer
-// joined; a restarted disk-backed source serves its pre-restart history
+// joined; a restarted LSM-backed source serves its pre-restart history
 // from its durable block store (its checkpointed chains answer Get for
 // the whole range [0, height)), so syncing from block 0 works across the
 // source's restarts. Blocks are re-validated from scratch (endorsements,
@@ -757,7 +756,7 @@ func (p *Peer) SyncFrom(source *Peer) error {
 // recorded outcomes and reproduces the live state byte for byte
 // (channel.Runtime.ReplayBlock). Channels rebuild independently.
 //
-// With block persistence on (the disk-backend default), the durable block
+// With block persistence on (the LSM-backend default), the durable block
 // store covers the full history even across restarts, so a restarted peer
 // rebuilds from block 0. A checkpointed channel WITHOUT a block store
 // (CommitterConfig.PersistBlocks off) cannot rebuild — the pre-checkpoint

@@ -285,6 +285,30 @@ func TestCommitRejectsBadEndorsementSignature(t *testing.T) {
 	}
 }
 
+// TestCommitRejectsNullTransaction: a block whose transaction list holds
+// a null entry under a recomputed, consistent data hash must be refused
+// with an error at decode, never panic a commit stage, and leave the
+// peer's height where it was.
+func TestCommitRejectsNullTransaction(t *testing.T) {
+	env := newEnv(t, true)
+	env.install(t, "iot", iotChaincode())
+	tx := env.endorseTx(t, "tx1", "iot", "record", "dev1", "15")
+	block := makeBlock(t, env.peer, []*ledger.Transaction{tx})
+	block.Transactions = append(block.Transactions, nil)
+	dataHash, err := ledger.ComputeDataHash(block.Transactions)
+	if err != nil {
+		t.Fatal(err)
+	}
+	block.Header.DataHash = dataHash
+	before := env.peer.Height()
+	if _, err := env.peer.CommitBlock(block); err == nil {
+		t.Fatal("CommitBlock accepted a block with a null transaction")
+	}
+	if got := env.peer.Height(); got != before {
+		t.Fatalf("height moved from %d to %d on a refused block", before, got)
+	}
+}
+
 func TestCommitRejectsTamperedRWSet(t *testing.T) {
 	env := newEnv(t, true)
 	env.install(t, "iot", iotChaincode())

@@ -22,27 +22,24 @@ import (
 const (
 	// BackendMemory is the trivial single-lock in-memory map.
 	BackendMemory = channel.BackendMemory
-	// BackendDisk is the persistent append-only-log backend; requires
-	// DataDir. A peer reopening the same DataDir resumes every channel
-	// from its last committed block instead of replaying the chain.
-	BackendDisk = channel.BackendDisk
-	// BackendLSM is the log-structured persistent backend (memtable +
-	// sorted runs + bloom filters + block cache, docs/STATEDB.md);
-	// requires DataDir. Resumes like BackendDisk, but never rebuilds a
-	// full in-memory index on open, so world state can outgrow RAM.
+	// BackendLSM is the log-structured persistent backend (write-ahead
+	// log + memtable + sorted runs + bloom filters + block cache,
+	// docs/STATEDB.md); requires DataDir. A peer reopening the same
+	// DataDir resumes every channel from its last committed block instead
+	// of replaying the chain.
 	BackendLSM = channel.BackendLSM
 )
 
 // Block-body persistence modes for CommitterConfig.PersistBlocks (aliases
 // of the channel subsystem's constants). With the block store on — the
-// default for the disk backend — the ledger is the recovery root: a
+// default for the LSM backend — the ledger is the recovery root: a
 // restarted peer serves its full history (SyncFrom) and can rebuild its
 // world state from block 0 (RebuildState). DESIGN.md §8.
 const (
 	// PersistBlocksAuto enables the block store iff the backend is
-	// durable (BackendDisk or BackendLSM).
+	// durable (BackendLSM).
 	PersistBlocksAuto = channel.PersistBlocksAuto
-	// PersistBlocksOn requires the block store (durable backends only).
+	// PersistBlocksOn requires the block store (BackendLSM only).
 	PersistBlocksOn = channel.PersistBlocksOn
 	// PersistBlocksOff keeps the state-checkpoint-only durability.
 	PersistBlocksOff = channel.PersistBlocksOff
@@ -307,7 +304,7 @@ func (p *Peer) FinalizeBlockOn(prep *PreparedBlock) (CommitResult, error) {
 
 	// A block at or below the state height was already committed — its
 	// writes are in the (durable) world state. Fast-forward: record it
-	// without re-validating or re-applying, so a restarted disk-backed
+	// without re-validating or re-applying, so a restarted LSM-backed
 	// peer resumes from height+1 instead of replaying the chain.
 	if num := view.Header.Number; num > 0 && num <= rt.Height() {
 		return p.fastForward(rt, stored)

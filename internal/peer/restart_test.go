@@ -64,13 +64,13 @@ func commitReadingBlocks(t *testing.T, env *testEnv, n int, startBlock uint64) [
 }
 
 // TestDiskPeerCrashRestart is the crash-restart acceptance test: commit N
-// blocks on a disk-backed peer, drop the peer (only its data directory
+// blocks on an LSM-backed peer, drop the peer (only its data directory
 // survives), rebuild it, and require byte-identical state, the recorded
 // resume height, and fast-forward (no re-validation, no state mutation) of
 // re-delivered history.
 func TestDiskPeerCrashRestart(t *testing.T) {
 	dir := t.TempDir()
-	committer := CommitterConfig{Backend: BackendDisk, DataDir: dir}
+	committer := CommitterConfig{Backend: BackendLSM, DataDir: dir}
 
 	env := newEnvWithCommitter(t, true, committer)
 	env.install(t, "iot", iotChaincode())
@@ -169,12 +169,9 @@ func TestLSMPeerCrashRestart(t *testing.T) {
 	if err := env.peer.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
-	// The LSM store (not the disk backend's log) is what persisted.
+	// The LSM store is what persisted.
 	if _, err := os.Stat(filepath.Join(dir, "ch1", "wal.log")); err != nil {
 		t.Fatalf("no LSM write-ahead log under the channel directory: %v", err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "ch1", "state.log")); !os.IsNotExist(err) {
-		t.Fatalf("BackendLSM wrote a disk-backend state.log: %v", err)
 	}
 	if _, err := os.Stat(filepath.Join(dir, "ch1", "blocks", "blocks.log")); err != nil {
 		t.Fatalf("block persistence is not on by default with the LSM backend: %v", err)
@@ -220,7 +217,7 @@ func TestLSMPeerCrashRestart(t *testing.T) {
 // blockstore_restart_test.go).
 func TestDiskPeerRestartWithoutRedelivery(t *testing.T) {
 	dir := t.TempDir()
-	committer := CommitterConfig{Backend: BackendDisk, DataDir: dir, PersistBlocks: PersistBlocksOff}
+	committer := CommitterConfig{Backend: BackendLSM, DataDir: dir, PersistBlocks: PersistBlocksOff}
 
 	env := newEnvWithCommitter(t, true, committer)
 	env.install(t, "iot", iotChaincode())
@@ -315,7 +312,7 @@ func TestFastForwardRejectsForgedBlocks(t *testing.T) {
 
 	// Same attack against a restarted peer's checkpoint block.
 	dir := t.TempDir()
-	committer := CommitterConfig{Backend: BackendDisk, DataDir: dir}
+	committer := CommitterConfig{Backend: BackendLSM, DataDir: dir}
 	denv := newEnvWithCommitter(t, true, committer)
 	denv.install(t, "iot", iotChaincode())
 	blocks := commitReadingBlocks(t, denv, 2, 1)
@@ -344,7 +341,7 @@ func TestNewRejectsDamagedStore(t *testing.T) {
 	dir := t.TempDir()
 	// The peer opens each channel's store under DataDir/<channel-ID>;
 	// damage the store where channel "ch1" will look for it.
-	db, err := statedb.NewDisk(filepath.Join(dir, "ch1"))
+	db, err := statedb.NewLSM(filepath.Join(dir, "ch1"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,7 +361,7 @@ func TestNewRejectsDamagedStore(t *testing.T) {
 	}
 	_, err = New(Config{
 		Name: "Org1.peer0", MSPID: "Org1", ChannelID: "ch1",
-		Committer: CommitterConfig{Backend: BackendDisk, DataDir: dir},
+		Committer: CommitterConfig{Backend: BackendLSM, DataDir: dir},
 	}, signer, cryptoid.NewMSP())
 	if err == nil {
 		t.Fatal("New accepted a durable store with height but no checkpoint")
@@ -372,9 +369,9 @@ func TestNewRejectsDamagedStore(t *testing.T) {
 }
 
 // TestNewRejectsBadBackendConfig covers the selection plumbing end to end:
-// unknown backend names and a disk backend without a data directory must
-// fail peer construction (the per-backend matrix itself is unit-tested in
-// internal/channel).
+// unknown or removed backend names and the LSM backend without a data
+// directory must fail peer construction (the per-backend matrix itself is
+// unit-tested in internal/channel).
 func TestNewRejectsBadBackendConfig(t *testing.T) {
 	ca, err := cryptoid.NewCA("Org1")
 	if err != nil {
@@ -392,9 +389,10 @@ func TestNewRejectsBadBackendConfig(t *testing.T) {
 	}
 	cases := map[string]CommitterConfig{
 		"unknown-backend":  {Backend: "couchdb"},
-		"disk-no-datadir":  {Backend: BackendDisk},
+		"lsm-no-datadir":   {Backend: BackendLSM},
 		"misspelled-entry": {Backend: "Memory"},
 		"removed-sharded":  {Backend: "sharded"},
+		"removed-disk":     {Backend: "disk"},
 	}
 	for name, committer := range cases {
 		if _, err := newPeer(committer); err == nil {
@@ -404,7 +402,7 @@ func TestNewRejectsBadBackendConfig(t *testing.T) {
 	for _, committer := range []CommitterConfig{
 		{},
 		{Backend: BackendMemory},
-		{Backend: BackendDisk, DataDir: t.TempDir()},
+		{Backend: BackendLSM, DataDir: t.TempDir()},
 	} {
 		p, err := newPeer(committer)
 		if err != nil {

@@ -16,9 +16,8 @@ import (
 // commit, so per-key atomicity suffices there.
 //
 // The built-in implementations are the single-lock mapBackend (New) and
-// the persistent diskBackend (NewDisk / OpenDisk) and lsmBackend
-// (NewLSM). Durable backends additionally satisfy
-// the Durable interface.
+// the persistent lsmBackend (NewLSM), which additionally satisfies the
+// Durable interface.
 type Backend interface {
 	// Get returns the value stored at key.
 	Get(key string) (VersionedValue, bool)
@@ -53,8 +52,8 @@ type Durable interface {
 }
 
 // mapBackend is the trivial backend: one map pair behind one global RWMutex.
-// It is the default and the reference implementation the durable backends
-// are tested against.
+// It is the default and the reference implementation the durable backend
+// is tested against.
 type mapBackend struct {
 	mu   sync.RWMutex
 	data map[string]VersionedValue
@@ -84,34 +83,23 @@ func (b *mapBackend) GetMeta(key string) []byte {
 func (b *mapBackend) Apply(updates map[string]Update, meta map[string][]byte, _ rwset.Version) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	applyToMaps(b.data, b.meta, updates, meta)
-}
-
-// applyToMaps applies one batch to a data/meta map pair — the shared
-// in-memory commit step of the map and disk backends.
-func applyToMaps(data map[string]VersionedValue, metaDst map[string][]byte, updates map[string]Update, meta map[string][]byte) {
 	for key, u := range updates {
 		if u.IsDelete {
-			delete(data, key)
+			delete(b.data, key)
 			continue
 		}
-		data[key] = VersionedValue{Value: u.Value, Version: u.Version}
+		b.data[key] = VersionedValue{Value: u.Value, Version: u.Version}
 	}
 	for key, v := range meta {
-		metaDst[key] = v
+		b.meta[key] = v
 	}
 }
 
 func (b *mapBackend) Range(start, end string) []KV {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	return rangeOverMap(b.data, start, end)
-}
-
-// rangeOverMap collects [start, end) from a data map in sorted order.
-func rangeOverMap(data map[string]VersionedValue, start, end string) []KV {
-	out := make([]KV, 0, len(data))
-	for k, vv := range data {
+	out := make([]KV, 0, len(b.data))
+	for k, vv := range b.data {
 		if k >= start && (end == "" || k < end) {
 			out = append(out, KV{Key: k, VersionedValue: vv})
 		}

@@ -18,16 +18,15 @@ import (
 )
 
 // lsmBackend is the log-structured persistent backend: state lives in an
-// in-memory memtable plus immutable sorted run files, so — unlike the
-// log+map disk backend — neither open cost nor resident memory scales
-// with the keyspace. Only the manifest, each run's footer/index/filter
+// in-memory memtable plus immutable sorted run files, so neither open
+// cost nor resident memory scales with the keyspace. Only the manifest, each run's footer/index/filter
 // and the memtable are resident; data blocks are fetched on demand
 // through a byte-budgeted LRU cache.
 //
 // On-disk layout inside the data directory:
 //
-//	wal.log        batch records appended since the last flush (same
-//	               framed batch encoding as the disk backend's state.log)
+//	wal.log        batch records appended since the last flush (framed
+//	               batch encoding, see lsm_wal.go)
 //	run-NNNNNN.run immutable sorted runs (see lsm_run.go)
 //	MANIFEST       one framed record naming the live runs plus the
 //	               flushed height and live-key count
@@ -39,8 +38,7 @@ import (
 // goroutine k-way merges every current run into one (newest value per
 // key wins, tombstones dropped) and swaps the manifest.
 //
-// Crash discipline mirrors the disk backend: one Apply appends exactly
-// one WAL frame, so a crash leaves at most a torn tail, truncated on
+// Crash discipline: one Apply appends exactly one WAL frame, so a crash leaves at most a torn tail, truncated on
 // open. Runs and the manifest are fsynced before the rename installing
 // them, so a manifest-listed run is always intact; a run without a
 // manifest reference is an orphan from a crash mid-flush, removed on
@@ -115,8 +113,10 @@ type LSMOptions struct {
 	// CompactRuns launches a background full merge when the run count
 	// exceeds this; <= 0 selects the default of 4.
 	CompactRuns int
-	// SyncEveryApply fsyncs the WAL after every batch (same trade-off as
-	// DiskOptions.SyncEveryApply).
+	// SyncEveryApply fsyncs the WAL after every batch. Off (the default),
+	// batches reach the OS page cache on Apply and the disk on Close or
+	// flush: a process crash loses nothing, a host power loss may lose the
+	// most recent batches (never corrupting earlier ones).
 	SyncEveryApply bool
 	// BeforeCompact, when set, runs right before a flush or compaction
 	// installs a manifest — the point where state becomes durable. The
@@ -195,12 +195,12 @@ func openLSM(dir string, opts LSMOptions) (*lsmBackend, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("statedb: creating data dir: %w", err)
 	}
-	// Refuse a directory holding a log+snapshot (disk backend) store:
-	// opening it as LSM would silently present an empty state while the
-	// real one sits in files this backend never reads.
-	for _, name := range []string{logFileName, snapFileName} {
+	// Refuse a directory holding a store of the removed log+snapshot
+	// ("disk") backend: opening it as LSM would silently present an empty
+	// state while the real one sits in files this backend never reads.
+	for _, name := range []string{"state.log", "state.snap"} {
 		if _, err := os.Stat(filepath.Join(dir, name)); err == nil {
-			return nil, fmt.Errorf("statedb: %s holds a disk-backend store (%s exists); refusing to open it as LSM", dir, name)
+			return nil, fmt.Errorf("statedb: %s holds a store of the removed disk backend (%s exists); refusing to open it as LSM (with an intact block log beside it, removing state.log and state.snap lets the channel rebuild its state from the block log)", dir, name)
 		}
 	}
 	b := &lsmBackend{
@@ -310,8 +310,8 @@ func (b *lsmBackend) removeOrphans() error {
 }
 
 // openAndReplayWAL opens wal.log for append, replays every intact frame
-// into the memtable and truncates a torn or corrupt tail — exactly the
-// disk backend's log discipline.
+// into the memtable and truncates a torn or corrupt tail (the one crash
+// shape a single-frame append can leave).
 func (b *lsmBackend) openAndReplayWAL() error {
 	path := filepath.Join(b.dir, walFileName)
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
@@ -520,9 +520,9 @@ func (b *lsmBackend) applyBatchLocked(updates map[string]Update, meta map[string
 }
 
 // Apply durably appends the batch to the WAL, applies it to the memtable
-// and flushes/compacts as thresholds demand. Failure semantics mirror
-// the disk backend: errors are recorded (Err/Close), the in-memory
-// update still happens, and the broken path is fail-stopped.
+// and flushes/compacts as thresholds demand. A write failure is recorded
+// (Err/Close), the in-memory update still happens, and the broken path
+// is fail-stopped.
 func (b *lsmBackend) Apply(updates map[string]Update, meta map[string][]byte, height rwset.Version) {
 	payload := encodeBatch(updates, meta, height)
 	b.mu.Lock()
@@ -837,7 +837,7 @@ func (b *lsmBackend) recordErr(err error) {
 }
 
 // Err returns the first error any operation recorded, if any — the
-// fail-stop surface shared with the disk backend.
+// fail-stop surface.
 func (b *lsmBackend) Err() error {
 	b.errMu.Lock()
 	defer b.errMu.Unlock()

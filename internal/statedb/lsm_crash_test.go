@@ -10,8 +10,8 @@ import (
 	"fabriccrdt/internal/rwset"
 )
 
-// The LSM crash matrix. Two regimes, mirroring the disk backend's
-// discipline (torn log tails recover, corrupt snapshots refuse):
+// The LSM crash matrix. Two regimes (torn log tails recover, damaged
+// durable files refuse):
 //
 //   - States a crash CAN produce — torn/corrupt WAL tails, orphan runs
 //     (flushed but never referenced by a manifest, in any state of

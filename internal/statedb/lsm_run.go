@@ -25,8 +25,8 @@ import (
 //
 // Runs are written to a temp file, fsynced and renamed into place before
 // any manifest references them, so a manifest-listed run is either fully
-// intact or evidence of external corruption (which open refuses, mirroring
-// the disk backend's corrupt-snapshot refusal).
+// intact or evidence of external corruption (which open refuses rather
+// than silently dropping flushed history).
 //
 // Data block payload:
 //

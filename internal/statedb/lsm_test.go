@@ -1,7 +1,9 @@
 package statedb
 
 import (
+	"bytes"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -10,6 +12,51 @@ import (
 
 	"fabriccrdt/internal/rwset"
 )
+
+// applyRandomBatches drives identical randomized batch sequences into every
+// given DB (the cross-backend parity harness).
+func applyRandomBatches(t *testing.T, seed int64, blocks int, dbs ...*DB) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	for blk := uint64(1); blk <= uint64(blocks); blk++ {
+		batch := NewUpdateBatch()
+		for i := 0; i < 20; i++ {
+			key := fmt.Sprintf("k%d", rng.Intn(40))
+			switch rng.Intn(3) {
+			case 0:
+				batch.Delete(key, rwset.Version{BlockNum: blk})
+			case 1:
+				batch.Put(key, []byte(fmt.Sprintf("v%d-%d", blk, i)), rwset.Version{BlockNum: blk, TxNum: uint64(i)})
+			case 2:
+				batch.PutMeta("crdt/"+key, []byte(fmt.Sprintf("m%d", blk)))
+			}
+		}
+		for _, db := range dbs {
+			db.Apply(batch, rwset.Version{BlockNum: blk})
+		}
+	}
+}
+
+// requireSameState fails unless both DBs expose identical data, metadata
+// and height.
+func requireSameState(t *testing.T, want, got *DB) {
+	t.Helper()
+	if a, b := want.GetRange("", ""), got.GetRange("", ""); !reflect.DeepEqual(a, b) {
+		t.Fatalf("full range diverged:\nwant %v\ngot  %v", a, b)
+	}
+	if want.KeyCount() != got.KeyCount() {
+		t.Fatalf("key counts diverged: %d vs %d", want.KeyCount(), got.KeyCount())
+	}
+	if want.Height() != got.Height() {
+		t.Fatalf("heights diverged: %v vs %v", want.Height(), got.Height())
+	}
+	for i := 0; i < 40; i++ {
+		key := fmt.Sprintf("crdt/k%d", i)
+		if !bytes.Equal(want.GetMeta(key), got.GetMeta(key)) {
+			t.Fatalf("GetMeta(%q) diverged", key)
+		}
+	}
+}
 
 // tinyLSMOptions forces frequent flushes, small blocks and early
 // compaction so short tests exercise every moving part.
@@ -326,34 +373,18 @@ func TestLSMBeforeCompactHook(t *testing.T) {
 	requireSameState(t, trivial, reopened)
 }
 
-// TestLSMRejectsForeignStoreDirs pins the cross-backend guards: pointing
-// one persistent backend at the other's directory must refuse, not
-// present an empty state.
+// TestLSMRejectsForeignStoreDirs pins the guard against stores of the
+// removed log+snapshot ("disk") backend: pointing the LSM backend at such
+// a directory must refuse, not present an empty state.
 func TestLSMRejectsForeignStoreDirs(t *testing.T) {
-	diskDir := t.TempDir()
-	disk, err := NewDisk(diskDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	applyRandomBatches(t, 43, 3, disk)
-	if err := disk.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewLSM(diskDir); err == nil {
-		t.Fatal("LSM opened a disk-backend directory")
-	}
-
-	lsmDir := t.TempDir()
-	lsm, err := NewLSM(lsmDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	applyRandomBatches(t, 43, 3, lsm)
-	if err := lsm.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewDisk(lsmDir); err == nil {
-		t.Fatal("disk backend opened an LSM directory")
+	for _, name := range []string{"state.log", "state.snap"} {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, name), []byte{}, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := NewLSM(dir); err == nil {
+			t.Fatalf("LSM opened a directory holding a disk-backend %s", name)
+		}
 	}
 }
 

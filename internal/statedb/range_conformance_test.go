@@ -23,11 +23,6 @@ func TestRangeConformance(t *testing.T) {
 	}
 	newBackends := func(t *testing.T) []backendCase {
 		t.Helper()
-		disk, err := NewDisk(t.TempDir())
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { disk.Close() })
 		// Tiny thresholds so LSM range scans really merge memtable + runs.
 		lsm, err := NewLSMWithOptions(t.TempDir(), tinyLSMOptions())
 		if err != nil {
@@ -36,7 +31,6 @@ func TestRangeConformance(t *testing.T) {
 		t.Cleanup(func() { lsm.Close() })
 		return []backendCase{
 			{"memory", New()},
-			{"disk", disk},
 			{"lsm", lsm},
 		}
 	}
@@ -137,38 +131,27 @@ func TestRangeConformance(t *testing.T) {
 		}
 	})
 
-	// A reopen must not change any answer for the durable backends.
+	// A reopen must not change any answer for the durable backend.
 	t.Run("after-reopen", func(t *testing.T) {
-		diskDir, lsmDir := t.TempDir(), t.TempDir()
-		disk, err := NewDisk(diskDir)
-		if err != nil {
-			t.Fatal(err)
-		}
+		lsmDir := t.TempDir()
 		lsm, err := NewLSMWithOptions(lsmDir, tinyLSMOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
 		mem := New()
-		dbs := []backendCase{{"memory", mem}, {"disk", disk}, {"lsm", lsm}}
+		dbs := []backendCase{{"memory", mem}, {"lsm", lsm}}
 		seed(dbs)
 		waitCompactions(lsm)
-		if err := disk.Close(); err != nil {
-			t.Fatal(err)
-		}
 		if err := lsm.Close(); err != nil {
 			t.Fatal(err)
 		}
-		if disk, err = NewDisk(diskDir); err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { disk.Close() })
 		if lsm, err = NewLSMWithOptions(lsmDir, tinyLSMOptions()); err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { lsm.Close() })
 		for _, tc := range cases {
 			want := mem.GetRange(tc.start, tc.end)
-			for _, bc := range []backendCase{{"disk", disk}, {"lsm", lsm}} {
+			for _, bc := range []backendCase{{"lsm", lsm}} {
 				got := bc.db.GetRange(tc.start, tc.end)
 				if got == nil || !reflect.DeepEqual(want, got) {
 					t.Errorf("%s/%s after reopen:\nwant %v\ngot  %v", tc.name, bc.name, want, got)

@@ -8,18 +8,17 @@
 // states, keeping CRDT bookkeeping invisible to chaincode reads.
 //
 // Storage lives behind the Backend interface: New returns the trivial
-// single-lock map backend, and NewDisk a persistent backend — an append-only CRC-framed record log plus periodic
-// snapshot compaction — whose contents and last-committed block height
-// survive restarts, so a reopened peer resumes from where it stopped
-// instead of replaying the chain (DESIGN.md §4). NewLSM is the second
-// persistent backend: a log-structured store (memtable + sorted runs +
-// bloom filters + block cache, docs/STATEDB.md) whose open cost and
-// resident memory do not scale with the keyspace, for state larger than
-// RAM.
+// single-lock map backend, and NewLSM the persistent one — a
+// log-structured store (CRC-framed write-ahead log + memtable + sorted
+// runs + bloom filters + block cache, docs/STATEDB.md) whose contents and
+// last-committed block height survive restarts, so a reopened peer
+// resumes from where it stopped instead of replaying the chain (DESIGN.md
+// §4). Its open cost and resident memory do not scale with the keyspace,
+// so state can outgrow RAM.
 //
 // Even durable, the world state is only a cache: the ledger's durable
-// block store (internal/blockstore, on by default beside a disk-backed
-// state) is the recovery root it can always be rebuilt from (DESIGN.md
+// block store (internal/blockstore, on by default beside the LSM state)
+// is the recovery root it can always be rebuilt from (DESIGN.md
 // §8, docs/PERSISTENCE.md).
 package statedb
 
@@ -97,10 +96,8 @@ func (db *DB) KeyCount() int {
 }
 
 // Stats is a durable backend's I/O accounting, scraped into the obs
-// metrics endpoint: current log size plus lifetime append/fsync/compaction
-// counts. The LSM backend additionally reports flush counts, the live run
-// count and block-cache hit/miss totals (zero for the disk backend, which
-// has no runs or cache).
+// metrics endpoint: current WAL size, lifetime append/fsync/compaction
+// and flush counts, the live run count and block-cache hit/miss totals.
 type Stats struct {
 	LogBytes    int64
 	Appends     int64

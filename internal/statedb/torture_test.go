@@ -9,14 +9,14 @@ import (
 	"fabriccrdt/internal/rwset"
 )
 
-// TestBackendTortureEquivalence drives all three backends — memory,
-// disk, LSM — through one randomized op stream: puts, deletes,
-// metadata writes, range scans (including degenerate bounds), mid-stream
-// reopens of the durable backends, and thresholds tiny enough that disk
-// compaction, LSM flushes and LSM background compaction all fire during
-// the run. Every backend must stay byte-identical to the map reference
-// at every observation point. Run under -race this doubles as the
-// concurrency-free interleaving check for flush/compaction state swaps.
+// TestBackendTortureEquivalence drives both backends — memory and LSM —
+// through one randomized op stream: puts, deletes, metadata writes, range
+// scans (including degenerate bounds), mid-stream reopens of the durable
+// backend, and thresholds tiny enough that LSM flushes and background
+// compaction both fire during the run. The LSM backend must stay
+// byte-identical to the map reference at every observation point. Run
+// under -race this doubles as the concurrency-free interleaving check for
+// flush/compaction state swaps.
 func TestBackendTortureEquivalence(t *testing.T) {
 	for _, seed := range []int64{101, 202, 303} {
 		seed := seed
@@ -27,35 +27,25 @@ func TestBackendTortureEquivalence(t *testing.T) {
 	}
 }
 
-// tortureHarness owns the three backends plus the directories the durable
-// two reopen from.
+// tortureHarness owns both backends plus the directory the durable one
+// reopens from.
 type tortureHarness struct {
-	ref     *DB // map backend: the executable spec
-	disk    *DB
-	lsm     *DB
-	diskDir string
-	lsmDir  string
+	ref    *DB // map backend: the executable spec
+	lsm    *DB
+	lsmDir string
 }
 
-func (h *tortureHarness) all() []*DB { return []*DB{h.ref, h.disk, h.lsm} }
+func (h *tortureHarness) all() []*DB { return []*DB{h.ref, h.lsm} }
 
-func (h *tortureHarness) names() []string { return []string{"ref", "disk", "lsm"} }
-
-func tortureDiskOptions() DiskOptions {
-	return DiskOptions{CompactAfterBytes: 1 << 10}
-}
+func (h *tortureHarness) names() []string { return []string{"ref", "lsm"} }
 
 func newTortureHarness(t *testing.T) *tortureHarness {
 	t.Helper()
 	h := &tortureHarness{
-		ref:     New(),
-		diskDir: t.TempDir(),
-		lsmDir:  t.TempDir(),
+		ref:    New(),
+		lsmDir: t.TempDir(),
 	}
 	var err error
-	if h.disk, err = NewDiskWithOptions(h.diskDir, tortureDiskOptions()); err != nil {
-		t.Fatal(err)
-	}
 	if h.lsm, err = NewLSMWithOptions(h.lsmDir, tinyLSMOptions()); err != nil {
 		t.Fatal(err)
 	}
@@ -133,23 +123,15 @@ func tortureRun(t *testing.T, seed int64) {
 
 	reopenDurable := func() {
 		waitCompactions(h.lsm)
-		if err := h.disk.Close(); err != nil {
-			t.Fatalf("block %d: close disk: %v", blk, err)
-		}
 		if err := h.lsm.Close(); err != nil {
 			t.Fatalf("block %d: close lsm: %v", blk, err)
 		}
 		var err error
-		if h.disk, err = NewDiskWithOptions(h.diskDir, tortureDiskOptions()); err != nil {
-			t.Fatalf("block %d: reopen disk: %v", blk, err)
-		}
 		if h.lsm, err = NewLSMWithOptions(h.lsmDir, tinyLSMOptions()); err != nil {
 			t.Fatalf("block %d: reopen lsm: %v", blk, err)
 		}
-		for i, db := range []*DB{h.disk, h.lsm} {
-			if got, want := db.Height(), (rwset.Version{BlockNum: blk}); got != want {
-				t.Fatalf("block %d: reopened %s height = %v", blk, []string{"disk", "lsm"}[i], got)
-			}
+		if got, want := h.lsm.Height(), (rwset.Version{BlockNum: blk}); got != want {
+			t.Fatalf("block %d: reopened lsm height = %v", blk, got)
 		}
 	}
 
