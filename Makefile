@@ -49,7 +49,7 @@ test-wire: vet
 smoke-multiproc:
 	$(GO) test -run TestMultiProcessSmoke -v ./cmd/fabricnet
 
-BENCHES = 'BenchmarkCommitPipeline|BenchmarkCommitBackends|BenchmarkCommitChannels|BenchmarkCommitAsync|BenchmarkCommitLSMCache'
+BENCHES = 'BenchmarkCommitPipeline|BenchmarkCommitBackends|BenchmarkCommitChannels|BenchmarkCommitAsync|BenchmarkCommitLSMCache|BenchmarkCommitHotDoc'
 
 # Commit-pipeline benchmark; refreshes BENCH_commit.json.
 bench:
@@ -58,20 +58,23 @@ bench:
 # One quick pass of the commit benchmark per state backend (memory, lsm
 # with and without the block store), the worker sweep, the
 # channel-scaling sweep (1/2/4/8 channels), the async-pipeline depth sweep
-# (0/1/2/4) and the LSM block-cache pair (dataset larger than the cache vs
-# inside it) — enough for CI to refresh and archive BENCH_commit.json
+# (0/1/2/4), the LSM block-cache pair (dataset larger than the cache vs
+# inside it) and the hot-document commit (one key holding 100 / 1,000
+# prior merges) — enough for CI to refresh and archive BENCH_commit.json
 # without a long benchmark run.
 bench-smoke:
 	$(GO) test -run xxx -bench $(BENCHES) -benchtime=3x .
 
 # Short-budget coverage-guided fuzzing of the decoders of untrusted bytes —
 # the wire-frame decoder, the LSM sorted-run block decoder, the persisted
-# JSON CRDT document state and the ledger block decoder — enough for CI to
-# catch a decoder regression without a long fuzz run.
+# JSON CRDT document state, the JSON CRDT merge of untrusted deltas and the
+# ledger block decoder — enough for CI to catch a decoder regression
+# without a long fuzz run.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzReadFrame -fuzztime 10s ./internal/wire
 	$(GO) test -run xxx -fuzz FuzzRunDecode -fuzztime 10s ./internal/statedb
 	$(GO) test -run xxx -fuzz FuzzDocState -fuzztime 10s ./internal/jsoncrdt
+	$(GO) test -run xxx -fuzz FuzzMergeJSON -fuzztime 10s ./internal/jsoncrdt
 	$(GO) test -run xxx -fuzz FuzzUnmarshalBlock -fuzztime 10s ./internal/ledger
 
 # The end-to-end benchmark (e2ebench/) is its own Go module, so the root

@@ -155,8 +155,8 @@ func BenchmarkAblationSecondPass(b *testing.B) {
 		name string
 		opts core.Options
 	}{
-		{"paper-literal", core.Options{FreshDocPerBlock: true}},
-		{"once-per-key", core.Options{FreshDocPerBlock: true, SerializeOncePerKey: true}},
+		{"paper-literal", core.Options{FreshDocPerBlock: true, PaperSecondPass: true}},
+		{"once-per-key", core.Options{FreshDocPerBlock: true}},
 	} {
 		b.Run(variant.name, func(b *testing.B) {
 			b.ReportAllocs()

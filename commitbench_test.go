@@ -10,6 +10,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -164,11 +165,19 @@ type commitBenchEntry struct {
 	// per-block benchmarks). With Pipeline > 0, BlockTxs counts one block
 	// and NsPerBlock is wall time per block of the whole pipelined
 	// multi-block stream.
-	Pipeline   int     `json:"pipeline,omitempty"`
-	BlockTxs   int     `json:"block_txs"`
-	Workers    int     `json:"workers"`
-	NsPerBlock int64   `json:"ns_per_block"`
-	TxPerSec   float64 `json:"tx_per_s"`
+	Pipeline int `json:"pipeline,omitempty"`
+	// PriorMerges is how many merges the one hot key already holds when
+	// the measured block commits to it (BenchmarkCommitHotDoc; 0 for the
+	// benchmarks that spread writes over fresh documents).
+	PriorMerges int     `json:"prior_merges,omitempty"`
+	BlockTxs    int     `json:"block_txs"`
+	Workers     int     `json:"workers"`
+	NsPerBlock  int64   `json:"ns_per_block"`
+	TxPerSec    float64 `json:"tx_per_s"`
+	// AllocsPerBlock and BytesPerBlock are the heap allocations of the
+	// measured commit (BenchmarkCommitHotDoc only).
+	AllocsPerBlock int64 `json:"allocs_per_block,omitempty"`
+	BytesPerBlock  int64 `json:"bytes_per_block,omitempty"`
 	// Registry snapshots: the last measured peer's obs counters at the end
 	// of the run — blocks committed, transactions finalized (committed +
 	// rejected) and the process-global healed deliver-retry count. Omitted
@@ -203,7 +212,7 @@ var (
 
 // benchKey is one configuration's identity in BENCH_commit.json.
 func benchKey(e commitBenchEntry) string {
-	return fmt.Sprintf("%v/%s/%v/%d/%d/%d/%d/%d", e.CRDT, e.Backend, e.PersistBlocks, e.CacheBytes, e.Channels, e.Pipeline, e.BlockTxs, e.Workers)
+	return fmt.Sprintf("%v/%s/%v/%d/%d/%d/%d/%d/%d", e.CRDT, e.Backend, e.PersistBlocks, e.CacheBytes, e.Channels, e.Pipeline, e.PriorMerges, e.BlockTxs, e.Workers)
 }
 
 // loadCommitBench seeds the in-memory result map from the committed
@@ -265,6 +274,9 @@ func recordCommitBench(b *testing.B, e commitBenchEntry) {
 		}
 		if a.Pipeline != c.Pipeline {
 			return a.Pipeline < c.Pipeline
+		}
+		if a.PriorMerges != c.PriorMerges {
+			return a.PriorMerges < c.PriorMerges
 		}
 		if a.BlockTxs != c.BlockTxs {
 			return a.BlockTxs < c.BlockTxs
@@ -638,6 +650,68 @@ func BenchmarkCommitLSMCache(b *testing.B) {
 				CRDT: true, Backend: peer.BackendLSM, CacheBytes: tc.cacheBytes,
 				BlockTxs: blockTxs, Workers: workers,
 				NsPerBlock: nsPerBlock, TxPerSec: txPerSec,
+			}.obsSnapshot(lastPeer))
+		})
+	}
+}
+
+// BenchmarkCommitHotDoc prices the hot-document commit: a 25-transaction
+// block whose every transaction appends to the one key that already holds
+// 100 or 1,000 prior merges, with default engine options. Each of those
+// transactions commits the whole converged document, so this is where
+// rendering it once per transaction instead of once per key shows. Every
+// iteration builds a fresh peer and commits the prior history to it off
+// the clock; only the measured block's commit is timed, and its heap
+// allocations are recorded beside the wall time.
+func BenchmarkCommitHotDoc(b *testing.B) {
+	const blockTxs = 25
+	for _, prior := range []int{100, 1000} {
+		fix := newCommitFixture(b, true)
+		blocks := fix.endorsedWideStream(b, prior/blockTxs+1, blockTxs, 1, 0)
+		history, measured := blocks[:len(blocks)-1], blocks[len(blocks)-1]
+		b.Run(fmt.Sprintf("prior=%d", prior), func(b *testing.B) {
+			var total time.Duration
+			var allocs, bytes uint64
+			var before, after runtime.MemStats
+			var lastPeer *peer.Peer
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				p := fix.newPeer(b, peer.CommitterConfig{Workers: 1})
+				lastPeer = p
+				for _, blk := range history {
+					if _, err := p.CommitBlock(blk); err != nil {
+						b.Fatal(err)
+					}
+				}
+				runtime.ReadMemStats(&before)
+				b.StartTimer()
+				start := time.Now()
+				res, err := p.CommitBlock(measured)
+				total += time.Since(start)
+				b.StopTimer()
+				runtime.ReadMemStats(&after)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if res.CommittedTx != blockTxs {
+					b.Fatalf("committed %d/%d", res.CommittedTx, blockTxs)
+				}
+				allocs += after.Mallocs - before.Mallocs
+				bytes += after.TotalAlloc - before.TotalAlloc
+				b.StartTimer()
+			}
+			n := int64(b.N)
+			nsPerBlock := total.Nanoseconds() / n
+			txPerSec := float64(blockTxs) / (float64(nsPerBlock) / 1e9)
+			b.ReportMetric(txPerSec, "tx/s")
+			b.ReportMetric(float64(int64(allocs)/n), "allocs/block")
+			b.ReportMetric(float64(int64(bytes)/n), "B/block")
+			recordCommitBench(b, commitBenchEntry{
+				CRDT: true, Backend: peer.BackendMemory, PriorMerges: prior,
+				BlockTxs: blockTxs, Workers: 1,
+				NsPerBlock: nsPerBlock, TxPerSec: txPerSec,
+				AllocsPerBlock: int64(allocs) / n, BytesPerBlock: int64(bytes) / n,
 			}.obsSnapshot(lastPeer))
 		})
 	}

@@ -46,7 +46,12 @@ type (
 	OrgConfig = fabricnet.OrgConfig
 	// OrdererConfig mirrors Fabric's BatchSize/BatchTimeout settings.
 	OrdererConfig = orderer.Config
-	// EngineOptions tunes the CRDT merge engine.
+	// EngineOptions tunes the CRDT merge engine. The zero value is the
+	// production engine: documents seeded across blocks, and each key's
+	// converged document rendered once per block and shared by every
+	// merged write of that key. FreshDocPerBlock and PaperSecondPass are
+	// the paper-literal Algorithm 1 switches the figure reproduction
+	// uses; Workers bounds key-group parallelism.
 	EngineOptions = core.Options
 	// CommitterConfig tunes every peer's staged commit pipeline: the
 	// endorsement-validation worker pool, the async cross-block pipeline

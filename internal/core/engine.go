@@ -47,12 +47,14 @@ const MergeReplica = "fabriccrdt"
 
 // Options tune the engine.
 type Options struct {
-	// SerializeOncePerKey replaces Algorithm 1's literal second pass —
-	// which re-serializes the converged document into every transaction's
-	// write set (lines 16–22, O(txs × doc size) per block) — with a
-	// serialize-once-per-key cache. Off by default for paper fidelity;
-	// the ablation benchmark (DESIGN.md A1) quantifies the difference.
-	SerializeOncePerKey bool
+	// PaperSecondPass runs Algorithm 1's literal second pass (lines
+	// 16–22): the converged document is serialized anew into every merged
+	// transaction's write set, O(txs × doc size) per block. Off by
+	// default: the engine renders each key group's document once and
+	// every merged write of that key shares the bytes — identical values,
+	// one render. Only the paper-figure reproduction (internal/experiments)
+	// and the ablation benchmark (DESIGN.md A1) turn it on.
+	PaperSecondPass bool
 	// FreshDocPerBlock is the paper-literal Algorithm 1 behaviour: every
 	// block starts from InitEmptyCRDT, so only the block's own deltas are
 	// merged and nothing is persisted across blocks. The committed world
@@ -135,8 +137,10 @@ type keyGroup struct {
 // transactions that already failed endorsement validation; the engine sets
 // codes[i] = CodeCRDTMerged for every transaction it commits via the merge
 // path (the paper's SkipMVCCValidation flag) and CodeInvalidCRDT for CRDT
-// transactions carrying unparseable values. Write-set values of merged
-// transactions are rewritten in place to the converged documents.
+// transactions carrying unparseable values or values nested past
+// jsoncrdt.MaxDepth. Write-set values of merged transactions are rewritten
+// in place to the converged documents; the merged writes of one key share
+// one rendering's bytes.
 //
 // A transaction is merged only if every one of its CRDT writes merges
 // cleanly; a bad delta fails the transaction (CodeInvalidCRDT) while its
@@ -190,9 +194,8 @@ func (e *Engine) MergeBlock(block *ledger.Block, codes []ledger.ValidationCode) 
 
 	// Finish pass (Algorithm 1 lines 16–22): rewrite every merged
 	// transaction's CRDT write values with the converged documents,
-	// metadata stripped, and serialize the states to persist. The paper's
-	// literal algorithm converts the document anew for every transaction;
-	// SerializeOncePerKey caches it.
+	// metadata stripped, and serialize the states to persist. Each group
+	// renders its document once (PaperSecondPass: once per transaction).
 	e.forEachGroup(groups, func(g *keyGroup) { e.finishGroup(g, codes) })
 	for _, g := range groups {
 		if g.finishErr != nil {
@@ -301,32 +304,28 @@ func firstMergeError(flat []flatOp) error {
 
 // finishGroup serializes one group's converged value into every merged
 // transaction's write set and marshals the post-merge states to persist.
+//
+// The group's value is rendered once and every merged write of the key
+// points at the same bytes. Sharing is safe because no reader of a write
+// value after MergeBlock writes into it in place: mvcc.ValidateBlock never
+// reads values, mvcc.BuildCommitBatch and the memory and lsm backends'
+// Apply store the slice as is (the lsm WAL encoder only copies it out),
+// channel.replayBlock / ReplayOwnedBlock hand the view to the same batch
+// path, and simnet commits through mvcc.BuildCommitBatch too.
 func (e *Engine) finishGroup(g *keyGroup, codes []ledger.ValidationCode) {
-	var cached []byte
+	var rendered []byte
 	for _, op := range g.ops {
 		if codes[op.txIdx] != ledger.CodeCRDTMerged {
 			continue
 		}
-		converged := cached
-		if converged == nil {
+		if rendered == nil || e.opts.PaperSecondPass {
 			var err error
-			switch {
-			case g.doc != nil:
-				converged, err = json.Marshal(g.doc.ToJSON())
-			case g.typed != nil:
-				converged, err = cleanTypedValue(g.typed)
-			default:
-				err = fmt.Errorf("core: merged write for key %q has no document", g.key)
-			}
-			if err != nil {
+			if rendered, err = renderGroup(g); err != nil {
 				g.finishErr = fmt.Errorf("core: serializing converged value for %q: %w", g.key, err)
 				return
 			}
-			if e.opts.SerializeOncePerKey {
-				cached = converged
-			}
 		}
-		op.w.Value = converged
+		op.w.Value = rendered
 	}
 	if g.typed != nil {
 		state, err := crdt.Marshal(g.typed.acc)
@@ -348,9 +347,23 @@ func (e *Engine) finishGroup(g *keyGroup, codes []ledger.ValidationCode) {
 	}
 }
 
+// renderGroup serializes a group's converged value as the world state
+// holds it: the JSON document with its CRDT metadata stripped, or the
+// typed CRDT's plain value.
+func renderGroup(g *keyGroup) ([]byte, error) {
+	switch {
+	case g.doc != nil:
+		return json.Marshal(g.doc.ToJSON())
+	case g.typed != nil:
+		return cleanTypedValue(g.typed)
+	default:
+		return nil, fmt.Errorf("core: merged write for key %q has no document", g.key)
+	}
+}
+
 // errInvalidDelta marks merge failures attributable to the transaction's
-// data (unparseable delta, type conflicts); the transaction fails with
-// CodeInvalidCRDT while the block commit proceeds.
+// data (unparseable or over-deep delta, type conflicts); the transaction
+// fails with CodeInvalidCRDT while the block commit proceeds.
 var errInvalidDelta = errors.New("core: invalid CRDT delta")
 
 // mergeWrite routes one CRDT-flagged write to the JSON CRDT or the typed
@@ -361,6 +374,12 @@ func (e *Engine) mergeWrite(docs map[string]*jsoncrdt.Doc, typed map[string]*typ
 	if w.CRDTType == "" {
 		if _, isTyped := typed[w.Key]; isTyped {
 			return fmt.Errorf("%w: key %q already merged as a typed CRDT in this block", errInvalidDelta, w.Key)
+		}
+		// A delta nested past the bound would persist a document no peer
+		// can load again; refusing it here is deterministic (it depends on
+		// the bytes alone), so every peer assigns the same code.
+		if err := jsoncrdt.CheckDepth(w.Value); err != nil {
+			return fmt.Errorf("%w: %v", errInvalidDelta, err)
 		}
 		doc, err := e.docForKey(docs, w.Key)
 		if err != nil {

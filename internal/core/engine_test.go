@@ -2,7 +2,10 @@ package core
 
 import (
 	"encoding/json"
+	"fmt"
+	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"fabriccrdt/internal/ledger"
@@ -166,15 +169,16 @@ func TestInvalidCRDTValueFailsTx(t *testing.T) {
 		`not json`,
 		`"scalar"`,
 		`[1,2,3]`,
+		strings.Repeat(`{"a":`, 3400) + "1" + strings.Repeat("}", 3400), // past jsoncrdt.MaxDepth
 	}
 	for _, bad := range cases {
 		tx := crdtTx("t", "k", bad)
 		codes := make([]ledger.ValidationCode, 1)
 		if _, err := e.MergeBlock(blockOf(tx), codes); err != nil {
-			t.Fatalf("MergeBlock(%q) hard error: %v", bad, err)
+			t.Fatalf("MergeBlock(%.40q) hard error: %v", bad, err)
 		}
 		if codes[0] != ledger.CodeInvalidCRDT {
-			t.Errorf("code for %q = %v, want InvalidCRDT", bad, codes[0])
+			t.Errorf("code for %.40q = %v, want InvalidCRDT", bad, codes[0])
 		}
 	}
 }
@@ -242,32 +246,99 @@ func TestDeterministicAcrossEngines(t *testing.T) {
 	}
 }
 
-func TestSerializeOncePerKeyEquivalence(t *testing.T) {
-	// The ablation option must not change results, only cost.
-	mkBlock := func() *ledger.Block {
-		txs := make([]*ledger.Transaction, 20)
-		for i := range txs {
-			txs[i] = crdtTx("t", "dev", `{"r":[{"t":"x"}]}`)
-			txs[i].ID = txs[i].ID + string(rune('a'+i))
+// randomHistoryBlock builds block num of a seeded history over a few hot
+// keys: CRDT appends and scalar overwrites, invalid deltas (unparseable,
+// non-object, nested past the depth bound), plain non-CRDT transactions,
+// multi-key transactions and typed G-Counter increments on their own key.
+func randomHistoryBlock(rng *rand.Rand, num uint64) *ledger.Block {
+	deep := strings.Repeat(`{"a":`, 100) + "1" + strings.Repeat("}", 100)
+	var txs []*ledger.Transaction
+	for i := 0; i < 5+rng.Intn(25); i++ {
+		id := fmt.Sprintf("b%d-t%d", num, i)
+		key := fmt.Sprintf("dev%d", rng.Intn(3))
+		var writes []rwset.Write
+		switch r := rng.Intn(10); {
+		case r < 5:
+			writes = []rwset.Write{{Key: key, Value: []byte(fmt.Sprintf(`{"r":[{"t":%d}],"last":"%s"}`, rng.Intn(100), id)), IsCRDT: true}}
+		case r == 5:
+			bad := []string{`not json`, `"scalar"`, `[1,2]`, deep}[rng.Intn(4)]
+			writes = []rwset.Write{{Key: key, Value: []byte(bad), IsCRDT: true}}
+		case r == 6:
+			writes = []rwset.Write{{Key: "plain", Value: []byte(id)}}
+		case r == 7:
+			writes = []rwset.Write{
+				{Key: "plain", Value: []byte(id)},
+				{Key: key, Value: []byte(`{"m":{"n":["x"]}}`), IsCRDT: true},
+				{Key: "dev9", Value: []byte(fmt.Sprintf(`{"s":[%d]}`, i)), IsCRDT: true},
+			}
+		default:
+			writes = []rwset.Write{{Key: "hits", Value: []byte(fmt.Sprintf(`{"%s":%d}`, id, 1+rng.Intn(5))), IsCRDT: true, CRDTType: "g-counter"}}
 		}
-		return blockOf(txs...)
+		txs = append(txs, &ledger.Transaction{ID: id, RWSet: rwset.ReadWriteSet{Writes: writes}})
 	}
-	run := func(once bool) [][]byte {
+	return &ledger.Block{Header: ledger.BlockHeader{Number: num}, Transactions: txs}
+}
+
+// TestPaperSecondPassEquivalence: Algorithm 1's literal per-transaction
+// second pass and the default once-per-key render must commit the same
+// bytes — codes, every rewritten write value, and the persisted document
+// and typed states — across a seeded multi-block history.
+func TestPaperSecondPassEquivalence(t *testing.T) {
+	type outcome struct {
+		codes  []ledger.ValidationCode
+		values [][]byte
+		res    Result
+	}
+	run := func(opts Options) []outcome {
+		rng := rand.New(rand.NewSource(14))
 		db := statedb.New()
-		e := NewEngine(db, Options{SerializeOncePerKey: once})
-		block := mkBlock()
-		codes := make([]ledger.ValidationCode, len(block.Transactions))
-		if _, err := e.MergeBlock(block, codes); err != nil {
-			t.Fatal(err)
-		}
-		var out [][]byte
-		for _, tx := range block.Transactions {
-			out = append(out, tx.RWSet.Writes[0].Value)
+		e := NewEngine(db, opts)
+		var out []outcome
+		for num := uint64(1); num <= 12; num++ {
+			block := randomHistoryBlock(rng, num)
+			codes := make([]ledger.ValidationCode, len(block.Transactions))
+			res, err := e.MergeBlock(block, codes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var values [][]byte
+			for _, tx := range block.Transactions {
+				for _, w := range tx.RWSet.Writes {
+					values = append(values, w.Value)
+				}
+			}
+			batch := statedb.NewUpdateBatch()
+			StageDocStates(batch, res)
+			db.Apply(batch, rwset.Version{BlockNum: num})
+			out = append(out, outcome{codes: codes, values: values, res: res})
 		}
 		return out
 	}
-	if !reflect.DeepEqual(run(false), run(true)) {
-		t.Fatal("SerializeOncePerKey changed merge results")
+	literal := run(Options{PaperSecondPass: true})
+	shared := run(Options{})
+	count := make(map[ledger.ValidationCode]int)
+	typed := 0
+	for blk := range literal {
+		if !reflect.DeepEqual(literal[blk].codes, shared[blk].codes) {
+			t.Errorf("block %d: codes = %v, paper-literal %v", blk+1, shared[blk].codes, literal[blk].codes)
+		}
+		if !reflect.DeepEqual(literal[blk].values, shared[blk].values) {
+			t.Errorf("block %d: rewritten write values differ", blk+1)
+		}
+		if !reflect.DeepEqual(literal[blk].res, shared[blk].res) {
+			t.Errorf("block %d: results differ:\n got %+v\nwant %+v", blk+1, shared[blk].res, literal[blk].res)
+		}
+		for _, c := range literal[blk].codes {
+			count[c]++
+		}
+		typed += len(literal[blk].res.TypedStates)
+	}
+	// Sanity: the history exercised both outcomes and the typed route.
+	if count[ledger.CodeInvalidCRDT] == 0 || count[ledger.CodeCRDTMerged] == 0 || count[ledger.CodeNotValidated] == 0 {
+		t.Fatalf("history degenerate, code mix = %v", count)
+	}
+	if typed == 0 {
+		t.Fatal("history never merged the typed key")
 	}
 }
 

@@ -117,9 +117,10 @@ func runCells(opts Options, rows []Row, cells []cell) error {
 }
 
 // baseConfig returns the shared simulation configuration. The merge engine
-// runs in the paper-literal fresh-document-per-block mode (Algorithm 1's
-// InitEmptyCRDT), which is what gives Figure 3 its block-size-dependent
-// merge cost; the Seeding ablation flips this.
+// runs Algorithm 1 literally: a fresh document per block (InitEmptyCRDT),
+// which is what gives Figure 3 its block-size-dependent merge cost, and the
+// per-transaction second pass (lines 16–22); the Seeding ablation flips the
+// former.
 func baseConfig(opts Options, mode simnet.Mode, blockSize int, rate float64, wl workload.IoTParams) simnet.Config {
 	return simnet.Config{
 		Mode:      mode,
@@ -128,7 +129,7 @@ func baseConfig(opts Options, mode simnet.Mode, blockSize int, rate float64, wl 
 		TotalTx:   opts.TotalTx,
 		Workload:  wl,
 		Latency:   opts.Latency,
-		Engine:    core.Options{FreshDocPerBlock: true},
+		Engine:    core.Options{FreshDocPerBlock: true, PaperSecondPass: true},
 	}
 }
 

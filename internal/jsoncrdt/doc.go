@@ -24,6 +24,7 @@ var (
 	ErrNotAList        = errors.New("jsoncrdt: insert target holds no list")
 	ErrRootNotObject   = errors.New("jsoncrdt: merged value must be a JSON object")
 	ErrUnsupportedType = errors.New("jsoncrdt: unsupported Go value in JSON merge")
+	ErrTooDeep         = errors.New("jsoncrdt: JSON value nests too deeply")
 )
 
 // Doc is a replicated JSON document. The zero value is unusable; construct

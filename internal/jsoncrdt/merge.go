@@ -7,6 +7,46 @@ import (
 	"fabriccrdt/internal/lamport"
 )
 
+// MaxDepth bounds how many objects and arrays a merged JSON value may nest.
+// The paper's deepest workload documents (the 6-6 shape of Figure 5) nest
+// 13; an unbounded delta would build a document whose persisted state
+// exceeds encoding/json's own nesting limit and can never be loaded again.
+const MaxDepth = 64
+
+// CheckDepth returns ErrTooDeep when the JSON text data nests more than
+// MaxDepth objects and arrays. It counts brackets outside strings and
+// validates nothing else, so it is cheap enough to run on every delta
+// before decoding it; malformed text is left for the decoder to refuse.
+// MergeJSON must only be given values decoded from text that passes it.
+func CheckDepth(data []byte) error {
+	depth := 0
+	inString, escaped := false, false
+	for _, c := range data {
+		if inString {
+			switch {
+			case escaped:
+				escaped = false
+			case c == '\\':
+				escaped = true
+			case c == '"':
+				inString = false
+			}
+			continue
+		}
+		switch c {
+		case '"':
+			inString = true
+		case '{', '[':
+			if depth++; depth > MaxDepth {
+				return fmt.Errorf("%w: more than %d levels", ErrTooDeep, MaxDepth)
+			}
+		case '}', ']':
+			depth--
+		}
+	}
+	return nil
+}
+
 // MergeJSON implements the paper's Algorithm 2 ("Merge a JSON object with
 // JSON CRDT"): it converts a plain JSON value — as produced by
 // encoding/json.Unmarshal: map[string]any, []any, string, float64, bool,

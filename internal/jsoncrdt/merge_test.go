@@ -2,7 +2,9 @@ package jsoncrdt
 
 import (
 	"encoding/json"
+	"errors"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -191,5 +193,31 @@ func TestMergeIntAndFloat32Scalars(t *testing.T) {
 	got := doc.ToJSON()
 	if got["i"] != float64(7) || got["i64"] != float64(8) || got["f32"] != float64(1.5) {
 		t.Fatalf("numeric normalization: %v", got)
+	}
+}
+
+// TestCheckDepth: the bound counts object and array nesting outside
+// strings, accepts exactly MaxDepth levels and refuses one more.
+func TestCheckDepth(t *testing.T) {
+	nested := func(n int) string {
+		return strings.Repeat(`{"a":`, n-1) + "[1]" + strings.Repeat("}", n-1)
+	}
+	cases := []struct {
+		in   string
+		deep bool
+	}{
+		{`{"a":1}`, false},
+		{nested(MaxDepth), false},
+		{nested(MaxDepth + 1), true},
+		{`{"s":"` + strings.Repeat("[", 2*MaxDepth) + `"}`, false},
+		{`{"s":"\"` + strings.Repeat("{", 2*MaxDepth) + `"}`, false},
+		{`{"s":"\\",` + `"t":` + nested(MaxDepth) + `}`, true},
+		{`not json`, false},
+	}
+	for _, c := range cases {
+		err := CheckDepth([]byte(c.in))
+		if got := errors.Is(err, ErrTooDeep); got != c.deep {
+			t.Errorf("CheckDepth(%.40q) = %v, want too deep %v", c.in, err, c.deep)
+		}
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"fabriccrdt/internal/chaincode"
+	"fabriccrdt/internal/core"
 	"fabriccrdt/internal/endorse"
 	"fabriccrdt/internal/ledger"
 )
@@ -63,17 +64,19 @@ func assertSameChain(t *testing.T, a, b *Peer) {
 // MVCC winners and losers, read-only transactions, invalid deltas,
 // duplicates and forged signatures — at every worker count, and between
 // serial commit (CommitBlock) and pipelined commit (CommitPipeline at
-// depth 2, where prepare of block N+1 runs beside finalize of block N).
-// Runs under -race via `make race` / CI, which is what makes the
-// parallel endorse and merge pools trustworthy.
+// depth 2, where prepare of block N+1 runs beside finalize of block N),
+// and between the default once-per-key render and Algorithm 1's literal
+// per-transaction second pass. Runs under -race via `make race` / CI,
+// which is what makes the parallel endorse and merge pools trustworthy.
 func TestScheduledFinalizeDeterminism(t *testing.T) {
 	env := newPipelineEnv(t, []CommitterConfig{
 		{Workers: 1},
 		{Workers: 4},
 		{Workers: 8},
-		{Workers: 4}, // fed through CommitPipeline at depth 2
 	})
-	direct, pipelined := env.variants[:len(env.variants)-1], env.variants[len(env.variants)-1]
+	env.addVariant(t, CommitterConfig{Workers: 4}, core.Options{PaperSecondPass: true})
+	pipelined := env.addVariant(t, CommitterConfig{Workers: 4}, core.Options{}) // fed through CommitPipeline at depth 2
+	direct := env.variants[:len(env.variants)-1]
 	env.install(t, "iot", multiKeyCRDTChaincode())
 	env.install(t, "plain", plainChaincode())
 	env.install(t, "bad", badCRDTChaincode())

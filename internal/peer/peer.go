@@ -41,6 +41,7 @@ import (
 	"fabriccrdt/internal/core"
 	"fabriccrdt/internal/cryptoid"
 	"fabriccrdt/internal/endorse"
+	"fabriccrdt/internal/jsoncrdt"
 	"fabriccrdt/internal/ledger"
 	"fabriccrdt/internal/obs"
 	"fabriccrdt/internal/rwset"
@@ -546,12 +547,21 @@ func (p *Peer) Endorse(prop Proposal) (ProposalResponse, error) {
 		return ProposalResponse{}, fmt.Errorf("%w: %v", ErrChaincodeFailed, err)
 	}
 	rw := stub.Result()
-	if !p.cfg.EnableCRDT {
-		// A stock Fabric peer has no notion of CRDT writes: the flags are
-		// dropped and the writes validate/commit as ordinary ones.
-		for i := range rw.Writes {
-			rw.Writes[i].IsCRDT = false
-			rw.Writes[i].CRDTType = ""
+	for i := range rw.Writes {
+		w := &rw.Writes[i]
+		if !p.cfg.EnableCRDT {
+			// A stock Fabric peer has no notion of CRDT writes: the flags
+			// are dropped and the writes validate/commit as ordinary ones.
+			w.IsCRDT = false
+			w.CRDTType = ""
+			continue
+		}
+		// The committer refuses such a delta as INVALID_CRDT_VALUE; refuse
+		// it here already so an honest client learns why.
+		if w.IsCRDT && w.CRDTType == "" {
+			if err := jsoncrdt.CheckDepth(w.Value); err != nil {
+				return ProposalResponse{}, fmt.Errorf("peer: CRDT write to %q: %w", w.Key, err)
+			}
 		}
 	}
 	payload, err := endorsementPayload(prop, rw)

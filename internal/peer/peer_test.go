@@ -2,13 +2,16 @@ package peer
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"fabriccrdt/internal/chaincode"
 	"fabriccrdt/internal/cryptoid"
 	"fabriccrdt/internal/endorse"
+	"fabriccrdt/internal/jsoncrdt"
 	"fabriccrdt/internal/ledger"
 	"fabriccrdt/internal/orderer"
 )
@@ -444,5 +447,68 @@ func TestCommitEvents(t *testing.T) {
 	env.peer.CloseEvents()
 	if _, ok := <-events; ok {
 		t.Fatal("events channel not closed")
+	}
+}
+
+// TestDeepCRDTDeltaRefused is the regression test for unbounded delta
+// nesting. Such a delta once merged into a document whose persisted state
+// nested past encoding/json's depth limit, so the next block touching the
+// key failed to load it and every peer's commit stopped for good. The
+// endorser now refuses the delta, and a committer handed one anyway (here
+// endorsed by a peer that does not check) fails only that transaction with
+// INVALID_CRDT_VALUE while the key keeps committing.
+func TestDeepCRDTDeltaRefused(t *testing.T) {
+	env := newEnv(t, true)
+	env.install(t, "iot", iotChaincode())
+	deep := []byte(strings.Repeat(`{"a":`, 3400) + "1" + strings.Repeat("}", 3400))
+	env.install(t, "deep", chaincode.Func(func(stub chaincode.Stub) error {
+		return stub.PutCRDT("dev1", deep)
+	}))
+	creator, err := env.client.Identity.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := env.peer.Endorse(Proposal{TxID: "d0", Chaincode: "deep", Creator: creator}); !errors.Is(err, jsoncrdt.ErrTooDeep) {
+		t.Fatalf("endorsing a deep delta: err = %v, want jsoncrdt.ErrTooDeep", err)
+	}
+
+	lax, err := env.ca.Issue("Org1.peer1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	deepTx := env.endorseTx(t, "d1", "iot", "record", "dev1", "15")
+	deepTx.RWSet.Writes[0].Value = deep
+	payload, err := deepTx.EndorsementPayload()
+	if err != nil {
+		t.Fatal(err)
+	}
+	endorser, err := lax.Identity.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	deepTx.Endorsements = []ledger.Endorsement{{Endorser: endorser, Signature: lax.Sign(payload)}}
+	txs := []*ledger.Transaction{deepTx, env.endorseTx(t, "t1", "iot", "record", "dev1", "20")}
+	res, err := env.peer.CommitBlock(makeBlock(t, env.peer, txs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []ledger.ValidationCode{ledger.CodeInvalidCRDT, ledger.CodeCRDTMerged}; !reflect.DeepEqual(res.Codes, want) {
+		t.Fatalf("codes = %v, want %v", res.Codes, want)
+	}
+
+	next := []*ledger.Transaction{env.endorseTx(t, "t2", "iot", "record", "dev1", "25")}
+	res, err = env.peer.CommitBlock(makeBlock(t, env.peer, next))
+	if err != nil {
+		t.Fatalf("the block after the deep delta: %v", err)
+	}
+	if res.Codes[0] != ledger.CodeCRDTMerged {
+		t.Fatalf("next block code = %v, want CRDT_MERGED", res.Codes[0])
+	}
+	before := snapshotState(env.peer, "crdt/dev1")
+	if err := env.peer.RebuildState(); err != nil {
+		t.Fatal(err)
+	}
+	if after := snapshotState(env.peer, "crdt/dev1"); !reflect.DeepEqual(before, after) {
+		t.Fatalf("replay diverged:\nbefore %v\nafter  %v", before, after)
 	}
 }

@@ -17,6 +17,7 @@ import (
 // pipeline configurations, all trusting the same roots so one endorsed
 // transaction set commits everywhere.
 type pipelineEnv struct {
+	ca     *cryptoid.CA
 	msp    *cryptoid.MSP
 	client *cryptoid.Signer
 	// baseline endorses and commits serially; variants replay its blocks.
@@ -36,26 +37,36 @@ func newPipelineEnv(t *testing.T, variants []CommitterConfig) *pipelineEnv {
 	if err != nil {
 		t.Fatal(err)
 	}
-	env := &pipelineEnv{msp: msp, client: clientSigner}
-	mkPeer := func(name string, committer CommitterConfig) *Peer {
-		signer, err := ca.Issue(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p, err := New(Config{
-			Name: name, MSPID: "Org1", ChannelID: "ch1",
-			EnableCRDT: true, Committer: committer,
-		}, signer, msp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return p
-	}
-	env.baseline = mkPeer("Org1.baseline", CommitterConfig{})
-	for i, cc := range variants {
-		env.variants = append(env.variants, mkPeer(fmt.Sprintf("Org1.variant%d", i), cc))
+	env := &pipelineEnv{ca: ca, msp: msp, client: clientSigner}
+	env.baseline = env.newPeer(t, "Org1.baseline", CommitterConfig{}, core.Options{})
+	for _, cc := range variants {
+		env.addVariant(t, cc, core.Options{})
 	}
 	return env
+}
+
+func (e *pipelineEnv) newPeer(t *testing.T, name string, committer CommitterConfig, engine core.Options) *Peer {
+	t.Helper()
+	signer, err := e.ca.Issue(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := New(Config{
+		Name: name, MSPID: "Org1", ChannelID: "ch1",
+		EnableCRDT: true, Committer: committer, EngineOptions: engine,
+	}, signer, e.msp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// addVariant adds one more peer that replays the baseline's blocks.
+func (e *pipelineEnv) addVariant(t *testing.T, committer CommitterConfig, engine core.Options) *Peer {
+	t.Helper()
+	p := e.newPeer(t, fmt.Sprintf("Org1.variant%d", len(e.variants)), committer, engine)
+	e.variants = append(e.variants, p)
+	return p
 }
 
 func (e *pipelineEnv) peers() []*Peer {
