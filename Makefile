@@ -67,15 +67,18 @@ bench-smoke:
 
 # Short-budget coverage-guided fuzzing of the decoders of untrusted bytes —
 # the wire-frame decoder, the LSM sorted-run block decoder, the persisted
-# JSON CRDT document state, the JSON CRDT merge of untrusted deltas and the
-# ledger block decoder — enough for CI to catch a decoder regression
-# without a long fuzz run.
+# JSON CRDT document state, the JSON CRDT merge of untrusted deltas, the
+# ledger block decoder, the endorsement-policy parser and the typed CRDT
+# state decoder — enough for CI to catch a decoder regression without a
+# long fuzz run.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzReadFrame -fuzztime 10s ./internal/wire
 	$(GO) test -run xxx -fuzz FuzzRunDecode -fuzztime 10s ./internal/statedb
 	$(GO) test -run xxx -fuzz FuzzDocState -fuzztime 10s ./internal/jsoncrdt
 	$(GO) test -run xxx -fuzz FuzzMergeJSON -fuzztime 10s ./internal/jsoncrdt
 	$(GO) test -run xxx -fuzz FuzzUnmarshalBlock -fuzztime 10s ./internal/ledger
+	$(GO) test -run xxx -fuzz FuzzParse -fuzztime 10s ./internal/endorse
+	$(GO) test -run xxx -fuzz FuzzRegistryUnmarshal -fuzztime 10s ./internal/crdt
 
 # The end-to-end benchmark (e2ebench/) is its own Go module, so the root
 # build, vet, lint and tests never compile it: vet and test it on its own,

@@ -146,6 +146,10 @@ func (f *commitFixture) endorsedBlockOn(b *testing.B, channelID string, n int) *
 
 // commitBenchEntry is one BENCH_commit.json record.
 type commitBenchEntry struct {
+	// Bench names the benchmark that measured the entry (its function name
+	// without "Benchmark"); two benchmarks may measure the same
+	// configuration differently, so each keeps its own row.
+	Bench   string `json:"bench"`
 	CRDT    bool   `json:"crdt"`
 	Backend string `json:"backend"`
 	// PersistBlocks marks LSM-backend runs with the durable block store
@@ -178,6 +182,9 @@ type commitBenchEntry struct {
 	// measured commit (BenchmarkCommitHotDoc only).
 	AllocsPerBlock int64 `json:"allocs_per_block,omitempty"`
 	BytesPerBlock  int64 `json:"bytes_per_block,omitempty"`
+	// StageNs is the mean ns per block of each commit stage the peer's
+	// CommitTimings reports (BenchmarkCommitPipeline only).
+	StageNs map[string]int64 `json:"stage_ns,omitempty"`
 	// Registry snapshots: the last measured peer's obs counters at the end
 	// of the run — blocks committed, transactions finalized (committed +
 	// rejected) and the process-global healed deliver-retry count. Omitted
@@ -212,7 +219,7 @@ var (
 
 // benchKey is one configuration's identity in BENCH_commit.json.
 func benchKey(e commitBenchEntry) string {
-	return fmt.Sprintf("%v/%s/%v/%d/%d/%d/%d/%d/%d", e.CRDT, e.Backend, e.PersistBlocks, e.CacheBytes, e.Channels, e.Pipeline, e.PriorMerges, e.BlockTxs, e.Workers)
+	return fmt.Sprintf("%s/%v/%s/%v/%d/%d/%d/%d/%d/%d", e.Bench, e.CRDT, e.Backend, e.PersistBlocks, e.CacheBytes, e.Channels, e.Pipeline, e.PriorMerges, e.BlockTxs, e.Workers)
 }
 
 // loadCommitBench seeds the in-memory result map from the committed
@@ -250,6 +257,7 @@ func recordCommitBench(b *testing.B, e commitBenchEntry) {
 	if e.Channels == 0 {
 		e.Channels = 1
 	}
+	e.Bench = strings.TrimPrefix(strings.SplitN(b.Name(), "/", 2)[0], "Benchmark")
 	commitBenchResults[benchKey(e)] = e
 	entries := make([]commitBenchEntry, 0, len(commitBenchResults))
 	for _, v := range commitBenchResults {
@@ -257,6 +265,9 @@ func recordCommitBench(b *testing.B, e commitBenchEntry) {
 	}
 	sort.Slice(entries, func(i, j int) bool {
 		a, c := entries[i], entries[j]
+		if a.Bench != c.Bench {
+			return a.Bench < c.Bench
+		}
 		if a.CRDT != c.CRDT {
 			return a.CRDT
 		}
@@ -310,6 +321,7 @@ func BenchmarkCommitPipeline(b *testing.B) {
 					cfg := peer.CommitterConfig{Workers: workers}
 					var total time.Duration
 					var lastPeer *peer.Peer
+					stageNs := make(map[string]int64)
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
 						b.StopTimer()
@@ -325,16 +337,20 @@ func BenchmarkCommitPipeline(b *testing.B) {
 						if enableCRDT && res.CommittedTx != blockTxs {
 							b.Fatalf("committed %d/%d", res.CommittedTx, blockTxs)
 						}
+						for _, s := range p.CommitTimings() {
+							stageNs[s.Stage] += s.Total.Nanoseconds()
+						}
 					}
 					nsPerBlock := total.Nanoseconds() / int64(b.N)
 					txPerSec := float64(blockTxs) / (float64(nsPerBlock) / 1e9)
 					b.ReportMetric(txPerSec, "tx/s")
-					for _, s := range lastPeer.CommitTimings() {
-						b.ReportMetric(float64(s.Avg.Nanoseconds()), s.Stage+"_ns")
+					for stage := range stageNs {
+						stageNs[stage] /= int64(b.N)
+						b.ReportMetric(float64(stageNs[stage]), stage+"_ns")
 					}
 					recordCommitBench(b, commitBenchEntry{
 						CRDT: enableCRDT, Backend: peer.BackendMemory, BlockTxs: blockTxs, Workers: workers,
-						NsPerBlock: nsPerBlock, TxPerSec: txPerSec,
+						NsPerBlock: nsPerBlock, TxPerSec: txPerSec, StageNs: stageNs,
 					}.obsSnapshot(lastPeer))
 				})
 			}

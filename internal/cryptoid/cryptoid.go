@@ -3,9 +3,15 @@
 // ed25519. Fabric's trust model — every endorsement carries a signature
 // verifiable against an organization CA — is preserved; the ASN.1/X.509
 // envelope is replaced by a deterministic JSON certificate.
+//
+// An MSP keeps a bounded memo of the certificates it has verified, so a
+// commit checks each endorser's certificate chain once, not once per
+// endorsement. The memo holds no world state, never holds a failure, and
+// AddOrg clears it.
 package cryptoid
 
 import (
+	"bytes"
 	"crypto/ed25519"
 	"crypto/rand"
 	"crypto/sha256"
@@ -34,8 +40,14 @@ type Identity struct {
 }
 
 // certPayload returns the byte string the CA signs.
-func (id Identity) certPayload() []byte {
-	return []byte("cert\x00" + id.MSPID + "\x00" + id.Name + "\x00" + string(id.PublicKey))
+func (id Identity) certPayload() []byte { return id.appendCertPayload(nil) }
+
+// appendCertPayload appends certPayload to dst.
+func (id Identity) appendCertPayload(dst []byte) []byte {
+	dst = append(dst, "cert\x00"...)
+	dst = append(append(dst, id.MSPID...), 0)
+	dst = append(append(dst, id.Name...), 0)
+	return append(dst, id.PublicKey...)
 }
 
 // Marshal serializes the identity.
@@ -114,11 +126,21 @@ func (ca *CA) Issue(name string) (*Signer, error) {
 	return &Signer{Identity: id, priv: priv}, nil
 }
 
+// memoCap bounds an MSP's verified-certificate memo. A network has a
+// handful of member certificates, so a full memo means a flood of distinct
+// ones: it is reset rather than evicted entry by entry.
+const memoCap = 1024
+
 // MSP is the verifier side: the set of trusted organization CA roots.
 // The zero value is ready to use. MSP is safe for concurrent use.
 type MSP struct {
 	mu    sync.RWMutex
 	roots map[string]ed25519.PublicKey
+	// verified memoizes successful certificate checks, keyed by root ||
+	// CertSig || certPayload. A verdict is a pure function of those three,
+	// so a hit returns what ed25519.Verify would. Failures are never
+	// stored, and AddOrg clears the memo.
+	verified map[string]struct{}
 }
 
 // NewMSP returns an empty MSP.
@@ -134,6 +156,7 @@ func (m *MSP) AddOrg(mspID string, root ed25519.PublicKey) {
 		m.roots = make(map[string]ed25519.PublicKey)
 	}
 	m.roots[mspID] = root
+	m.verified = nil
 }
 
 // Orgs returns the trusted MSP IDs.
@@ -148,7 +171,8 @@ func (m *MSP) Orgs() []string {
 }
 
 // VerifyIdentity checks that the identity's certificate chains to a trusted
-// organization root.
+// organization root. A certificate already verified against the current
+// root is answered from the memo.
 func (m *MSP) VerifyIdentity(id Identity) error {
 	m.mu.RLock()
 	root, ok := m.roots[id.MSPID]
@@ -156,10 +180,39 @@ func (m *MSP) VerifyIdentity(id Identity) error {
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownMSP, id.MSPID)
 	}
-	if !ed25519.Verify(root, id.certPayload(), id.CertSig) {
+	// ed25519.Verify refuses any other length too; refusing it first makes
+	// the fixed-width root || CertSig prefix split the memo key one way only.
+	if len(id.CertSig) != ed25519.SignatureSize {
 		return fmt.Errorf("%w: identity %s/%s", ErrBadCert, id.MSPID, id.Name)
 	}
+	key := memoKey(root, id)
+	m.mu.RLock()
+	_, hit := m.verified[string(key)]
+	m.mu.RUnlock()
+	if hit {
+		return nil
+	}
+	if !ed25519.Verify(root, key[len(root)+ed25519.SignatureSize:], id.CertSig) {
+		return fmt.Errorf("%w: identity %s/%s", ErrBadCert, id.MSPID, id.Name)
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	// An AddOrg that ran during the check replaced the root the verdict
+	// was reached against: keep nothing from it.
+	if cur, ok := m.roots[id.MSPID]; ok && bytes.Equal(cur, root) {
+		if m.verified == nil || len(m.verified) >= memoCap {
+			m.verified = make(map[string]struct{})
+		}
+		m.verified[string(key)] = struct{}{}
+	}
 	return nil
+}
+
+// memoKey is root || CertSig || certPayload: the memo key of id verified
+// against root.
+func memoKey(root ed25519.PublicKey, id Identity) []byte {
+	key := make([]byte, 0, len(root)+len(id.CertSig)+len("cert\x00\x00\x00")+len(id.MSPID)+len(id.Name)+len(id.PublicKey))
+	return id.appendCertPayload(append(append(key, root...), id.CertSig...))
 }
 
 // VerifySignature checks both the certificate chain and a signature by the
